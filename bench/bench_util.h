@@ -8,13 +8,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_report.h"
+#include "common/check.h"
 #include "common/flags.h"
 #include "common/time.h"
+#include "experiments/chaos_schedule.h"
 #include "experiments/parallel_runner.h"
 #include "experiments/runner.h"
 #include "metrics/table.h"
@@ -84,4 +87,26 @@ inline std::string fmt(const char* format, double value) {
   return buf;
 }
 
+/// Saves a failing chaos cell's schedule as `<bench>-cell<cell>.chaos` in
+/// the working directory, for `waif_chaos_replay --replay` or `--shrink`.
+inline void write_cell_repro(const char* bench, std::size_t cell,
+                             const experiments::ChaosSchedule& schedule) {
+  const std::string path =
+      std::string(bench) + "-cell" + std::to_string(cell) + ".chaos";
+  std::ofstream out(path);
+  experiments::write_chaos(out, schedule);
+  std::fprintf(stderr, "%s: cell %zu failed; its schedule is in %s\n", bench,
+               cell, path.c_str());
+}
+
 }  // namespace waif::bench
+
+/// WAIF_CHECK for one cell of a chaos bench: before aborting, writes the
+/// cell's schedule (evaluated only on failure) as a replayable repro.
+#define WAIF_CELL_CHECK(expr, name, index, repro)              \
+  do {                                                         \
+    if (!(expr)) {                                             \
+      ::waif::bench::write_cell_repro(name, index, repro);     \
+      ::waif::detail::check_failed(#expr, __FILE__, __LINE__); \
+    }                                                          \
+  } while (false)

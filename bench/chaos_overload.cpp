@@ -1,28 +1,34 @@
 // Chaos harness for overload protection: sweeps publisher storm x device
 // stall x queue budget, replaying every cell through the deterministic
-// parallel runner. Each cell is one overload run
-// (experiments/overload_runner.h): three topics over the reliable channel,
-// optionally swamped by bursts of extra publishes, optionally ACK-starved by
-// stall windows, with the budgets/watermarks/breaker armed per cell. The
+// parallel runner. Each cell is one `.chaos` schedule run through
+// experiments::run_chaos: the replicated, journaled last hop over 4 days
+// with four 2-hour outages, optionally swamped by storm faults (bursts of
+// extra publishes), optionally ACK-starved by device-stall faults, with the
+// budgets/watermarks armed per cell and the breaker armed everywhere. The
 // sweep asserts the overload invariants:
 //
-//   1. the all-off cell is behavior-identical to the unprotected baseline,
-//      and persistence itself is behavior-invisible (digest equality);
+//   1. the all-off cell is behavior-identical to the unprotected baseline;
 //   2. with a budget armed, sampled queue occupancy never exceeds it — per
 //      topic and proxy-wide — however hard the storm pushes;
 //   3. every shed event is journaled, sheds strictly follow the canonical
 //      rank-then-expiration order, and replaying the WAL from scratch
 //      rebuilds per-topic images byte-identical to the live proxy (no
-//      unjournaled drops);
+//      unjournaled drops) — the monitor's shed-journal, shed-order and
+//      image-equality invariants;
 //   4. without a budget nothing is ever shed or rejected;
 //   5. stall windows trip the circuit breaker; the cooldown probes
 //      half-open and the device's recovery recloses it.
+//
+// That journaling itself changes no read is checked by the last-hop
+// integration tests (tests/integration/last_hop_test.cpp).
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "experiments/overload_runner.h"
+#include "experiments/chaos_orchestrator.h"
+#include "experiments/chaos_schedule.h"
+#include "metrics/inefficiency.h"
 
 using namespace waif;
 
@@ -34,33 +40,50 @@ struct OverloadCell {
   std::size_t budget = 0;  // per-topic; 0 = overload protection off
 };
 
-experiments::OverloadPlan cell_plan(const OverloadCell& cell,
-                                    const workload::ScenarioConfig& scenario) {
-  experiments::OverloadPlan plan;
-  plan.scenario = scenario;
-  // Same transport everywhere, so budget/storm/stall are the only axes: the
-  // breaker is armed in every cell but only ACK starvation can trip it. The
-  // short retry ladder (3 attempts, 2-minute cap) makes a starved transfer
-  // exhaust within minutes, so a stall window sees several exhaustions.
-  plan.channel.breaker_failure_threshold = 3;
-  plan.channel.max_attempts = 3;
-  plan.channel.max_backoff = 2 * kMinute;
+experiments::ChaosSchedule cell_schedule(const OverloadCell& cell) {
+  using experiments::ChaosFault;
+  using experiments::ChaosFaultKind;
+  experiments::ChaosSchedule schedule;
+  schedule.horizon = 4 * kDay;
+  // The breaker is armed in every cell, but only ACK starvation can trip it.
+  schedule.breaker_threshold = 3;
+  // No snapshots: every image check replays the WAL from its first record.
+  schedule.persistence.snapshot_interval = 0;
+  for (SimTime day = 0; day < 4; ++day) {
+    ChaosFault outage;
+    outage.kind = ChaosFaultKind::kOutage;
+    outage.at = day * kDay + 12 * kHour;
+    outage.duration = 2 * kHour;
+    schedule.faults.push_back(outage);
+  }
   if (cell.storm) {
-    plan.storm_bursts = 6;
-    plan.storm_size = 48;
-    plan.storm_spacing = kHour;
+    // Six 48-event bursts an hour apart from a quarter into the run.
+    for (std::uint64_t burst = 0; burst < 6; ++burst) {
+      ChaosFault storm;
+      storm.kind = ChaosFaultKind::kStorm;
+      storm.at = schedule.horizon / 4 + static_cast<SimTime>(burst) * kHour;
+      storm.param = 48;
+      storm.seed = burst + 1;
+      schedule.faults.push_back(storm);
+    }
   }
   if (cell.stall) {
-    plan.stall_count = 2;
-    plan.stall_duration = 3 * kHour;
+    // Two 3-hour windows in which every ACK vanishes.
+    for (SimTime window = 1; window <= 2; ++window) {
+      ChaosFault stall;
+      stall.kind = ChaosFaultKind::kDeviceStall;
+      stall.at = schedule.horizon * window / 3;
+      stall.duration = 3 * kHour;
+      schedule.faults.push_back(stall);
+    }
   }
   if (cell.budget > 0) {
-    plan.overload.topic_queue_budget = cell.budget;
-    plan.overload.proxy_queue_budget = 2 * cell.budget;
-    plan.overload.admission_high = 2 * cell.budget;
-    plan.overload.admission_low = cell.budget;
+    schedule.topic_budget = cell.budget;
+    schedule.proxy_budget = 2 * cell.budget;
+    schedule.admission_high = 2 * cell.budget;
+    schedule.admission_low = cell.budget;
   }
-  return plan;
+  return schedule;
 }
 
 }  // namespace
@@ -72,102 +95,100 @@ int main(int argc, char** argv) {
       "Overload chaos sweep — publisher storm x device stall x queue budget "
       "over the protected last-hop proxy"));
 
-  const workload::ScenarioConfig scenario = experiments::overload_scenario();
-
   // The unprotected, undisturbed run: its digest is what the all-off cell
   // must reproduce.
-  experiments::OverloadPlan base_plan;
-  base_plan.scenario = scenario;
-  base_plan.channel.breaker_failure_threshold = 3;
-  base_plan.channel.max_attempts = 3;
-  base_plan.channel.max_backoff = 2 * kMinute;
-  const experiments::OverloadOutcome baseline =
-      experiments::run_overload_plan(base_plan);
+  const experiments::ChaosOutcome baseline =
+      experiments::run_chaos(cell_schedule(OverloadCell{}));
+  WAIF_CHECK(baseline.ok());
   WAIF_CHECK(baseline.shed == 0);
   WAIF_CHECK(baseline.admission_rejects == 0);
-  WAIF_CHECK(baseline.recovery_image_match);
-
-  // Invariant 1b: the persistence-off control reads identically.
-  experiments::OverloadPlan off_plan = base_plan;
-  off_plan.persist = false;
-  const experiments::OverloadOutcome off =
-      experiments::run_overload_plan(off_plan);
-  WAIF_CHECK(off.read_digest == baseline.read_digest);
-  WAIF_CHECK(off.total_read == baseline.total_read);
 
   const bool storms[] = {false, true};
   const bool stalls[] = {false, true};
   const std::size_t budgets[] = {0, 32, 8};
 
   std::vector<OverloadCell> cells;
+  std::vector<experiments::ChaosSchedule> schedules;
   for (bool storm : storms) {
     for (bool stall : stalls) {
       for (std::size_t budget : budgets) {
         cells.push_back(OverloadCell{storm, stall, budget});
+        schedules.push_back(cell_schedule(cells.back()));
       }
     }
   }
 
-  const std::vector<experiments::OverloadOutcome> results = runner.map(
-      cells.size(), [&cells, &scenario](std::size_t i) {
-        return experiments::run_overload_plan(cell_plan(cells[i], scenario));
-      });
+  const std::vector<experiments::ChaosOutcome> results = runner.map(
+      schedules.size(),
+      [&schedules](std::size_t i) { return experiments::run_chaos(schedules[i]); });
 
   metrics::Table table(
       "Overload chaos sweep — storms, device stalls and queue budgets over "
-      "the protected proxy\n(4-day three-topic runs over the reliable "
-      "channel; storm = 6x48-event bursts, stall = two 3-hour ACK-starvation "
-      "windows;\nbudget = per-topic cap, proxy-wide cap 2x, admission "
-      "watermarks at budget/2x-budget)",
+      "the protected proxy\n(4-day three-topic runs on the replicated last "
+      "hop with four 2-hour outages; storm = 6x48-event bursts, stall = two "
+      "3-hour ACK-starvation windows;\nbudget = per-topic cap, proxy-wide "
+      "cap 2x, admission watermarks at budget/2x-budget; shed = the active "
+      "replica's journaled sheds; peaks over both replicas)",
       "storm / stall / budget",
       {"reads", "shed", "shed%", "rejects", "peakQ", "peakT", "trips",
        "requeued"});
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const OverloadCell& cell = cells[i];
-    const experiments::OverloadOutcome& result = results[i];
+    const experiments::ChaosOutcome& result = results[i];
+    const experiments::ChaosSchedule& schedule = schedules[i];
 
-    // Invariant 3: sheds are journaled, canonically ordered, and the WAL
-    // replay matches the live image byte for byte.
-    WAIF_CHECK(result.shed_order_violations == 0);
-    WAIF_CHECK(result.journaled_sheds == result.shed);
-    WAIF_CHECK(result.recovery_image_match);
+    // Invariants 2 and 3 through the monitor: occupancy sampled after
+    // every mutation, sheds journaled in canonical order, and the WAL
+    // replay equal to the live image at every checkpoint.
+    WAIF_CELL_CHECK(result.ok(), "chaos_overload", i, schedule);
+    WAIF_CELL_CHECK(result.image_checks > 0, "chaos_overload", i, schedule);
 
     if (cell.budget > 0) {
       // Invariant 2: sampled occupancy is bounded by the armed budgets.
-      WAIF_CHECK(result.peak_topic_queued <= cell.budget);
-      WAIF_CHECK(result.peak_queued <= 2 * cell.budget);
+      WAIF_CELL_CHECK(result.peak_topic_queued <= cell.budget,
+                      "chaos_overload", i, schedule);
+      WAIF_CELL_CHECK(result.peak_queued <= 2 * cell.budget,
+                      "chaos_overload", i, schedule);
     } else {
       // Invariant 4: no budget, no drops.
-      WAIF_CHECK(result.shed == 0);
-      WAIF_CHECK(result.admission_rejects == 0);
+      WAIF_CELL_CHECK(result.shed == 0, "chaos_overload", i, schedule);
+      WAIF_CELL_CHECK(result.admission_rejects == 0, "chaos_overload", i,
+                      schedule);
     }
     // Invariant 1: the all-off cell is the baseline, bit for bit.
     if (!cell.storm && !cell.stall && cell.budget == 0) {
-      WAIF_CHECK(result.read_digest == baseline.read_digest);
-      WAIF_CHECK(result.total_read == baseline.total_read);
+      WAIF_CELL_CHECK(result.read_digest == baseline.read_digest,
+                      "chaos_overload", i, schedule);
+      WAIF_CELL_CHECK(result.total_read == baseline.total_read,
+                      "chaos_overload", i, schedule);
     }
     // Invariant 5: ACK starvation trips the breaker; a healthy device
     // never does.
     if (cell.stall) {
-      WAIF_CHECK(result.breaker_trips > 0);
-      WAIF_CHECK(result.breaker_closes > 0);
+      WAIF_CELL_CHECK(result.breaker_trips > 0, "chaos_overload", i,
+                      schedule);
+      WAIF_CELL_CHECK(result.breaker_closes > 0, "chaos_overload", i,
+                      schedule);
     } else {
-      WAIF_CHECK(result.breaker_trips == 0);
+      WAIF_CELL_CHECK(result.breaker_trips == 0, "chaos_overload", i,
+                      schedule);
     }
 
     char label[64];
     std::snprintf(label, sizeof label, "%-5s / %-5s / %2zu",
                   cell.storm ? "storm" : "calm",
                   cell.stall ? "stall" : "none", cell.budget);
-    table.add_row(label,
-                  {static_cast<double>(result.total_read),
-                   static_cast<double>(result.shed), result.shed_pct,
-                   static_cast<double>(result.admission_rejects),
-                   static_cast<double>(result.peak_queued),
-                   static_cast<double>(result.peak_topic_queued),
-                   static_cast<double>(result.breaker_trips),
-                   static_cast<double>(result.requeued)});
+    table.add_row(
+        label,
+        {static_cast<double>(result.total_read),
+         static_cast<double>(result.journaled_sheds),
+         metrics::shed_percent(result.arrivals, result.journaled_sheds),
+         static_cast<double>(result.admission_rejects),
+         static_cast<double>(result.peak_queued),
+         static_cast<double>(result.peak_topic_queued),
+         static_cast<double>(result.breaker_trips),
+         static_cast<double>(result.requeued)});
   }
 
   bench::report_sweep(runner, report);

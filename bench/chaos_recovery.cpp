@@ -1,28 +1,33 @@
 // Chaos harness for proxy durability: sweeps crash point x sync policy x
 // snapshot interval x injected storage fault, replaying every cell through
-// the deterministic parallel runner. Each cell is one crash-consistent
-// last-hop run (experiments/recovery_runner.h): the proxy journals every
-// mutation through storage::ProxyPersistence, is killed once the WAL reaches
-// the cell's record index, and is rebuilt from the newest valid snapshot
-// plus the WAL-tail replay. The sweep asserts the durability invariants:
+// the deterministic parallel runner. Each cell is one `.chaos` schedule run
+// through experiments::run_chaos: the replicated, journaled last hop over
+// 12 days with four 3-hour outages. The cell sets the schedule's
+// persistence line, an optional storage-fault window, and an optional
+// machine crash once the WAL reaches a record index, restarted in place
+// from the newest valid snapshot plus the WAL-tail replay. The sweep
+// asserts the durability invariants:
 //
-//   1. persistence off and persistence on (no faults, no crash) produce the
-//      same read digest — journaling is behavior-invisible;
-//   2. with write-ahead syncs and no storage faults, the digest after
+//   1. with write-ahead syncs and no storage faults, the digest after
 //      (crash, recover, continue) equals the uninterrupted run's digest —
 //      recovery is exact;
+//   2. without a crash or a fault, neither sync policy changes a read;
 //   3. under batched syncs the crash loses at most the unsynced window;
 //   4. the write-ahead discipline never yields a duplicate user read, even
 //      when fsyncs fail (deliveries are refused, not lost track of);
 //   5. whatever the injected fault left on disk, fsck still finds a
-//      recoverable image (a valid snapshot or a repairable WAL).
+//      recoverable image (a valid snapshot or a repairable WAL) — checked,
+//      with every other monitor invariant, through the run's violations.
+//
+// That journaling itself changes no read is checked by the last-hop
+// integration tests (tests/integration/last_hop_test.cpp).
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "experiments/recovery_runner.h"
+#include "experiments/chaos_orchestrator.h"
+#include "experiments/chaos_schedule.h"
 
 using namespace waif;
 
@@ -51,32 +56,47 @@ const char* fault_name(FaultKind kind) {
   return "?";
 }
 
-experiments::RecoveryPlan cell_plan(const RecoveryCell& cell,
-                                    const workload::ScenarioConfig& scenario,
-                                    std::uint64_t baseline_records) {
-  experiments::RecoveryPlan plan;
-  plan.scenario = scenario;
-  plan.persistence.snapshot_interval = cell.snapshot_interval;
-  if (cell.sync == SyncMode::kBatched) {
-    plan.persistence.sync_interval = 32;
-    plan.persistence.sync_on_forward = false;
+/// The uninterrupted, fault-free run every cell varies: default
+/// (write-ahead) persistence and one 3-hour outage every three days.
+experiments::ChaosSchedule base_schedule() {
+  experiments::ChaosSchedule schedule;
+  schedule.horizon = 12 * kDay;
+  for (SimTime day = 1; day < 12; day += 3) {
+    experiments::ChaosFault outage;
+    outage.kind = experiments::ChaosFaultKind::kOutage;
+    outage.at = day * kDay + 6 * kHour;
+    outage.duration = 3 * kHour;
+    schedule.faults.push_back(outage);
   }
-  switch (cell.fault) {
-    case FaultKind::kNone:
-      break;
-    case FaultKind::kFsync:
-      plan.storage_fault.fsync_failure_probability = 0.2;
-      break;
-    case FaultKind::kTorn:
-      plan.storage_fault.torn_write_probability = 1.0;
-      plan.storage_fault.bit_flip_probability = 0.5;
-      break;
+  return schedule;
+}
+
+experiments::ChaosSchedule cell_schedule(const RecoveryCell& cell,
+                                         std::uint64_t baseline_records) {
+  experiments::ChaosSchedule schedule = base_schedule();
+  schedule.persistence.snapshot_interval = cell.snapshot_interval;
+  if (cell.sync == SyncMode::kBatched) {
+    schedule.persistence.sync_interval = 32;
+    schedule.persistence.sync_on_forward = false;
+  }
+  if (cell.fault != FaultKind::kNone) {
+    // A storage-fault window over the whole run: magnitude 0.2 fails a
+    // fifth of the fsyncs; 0.5 fails half and tears every crashed tail.
+    experiments::ChaosFault storage;
+    storage.kind = experiments::ChaosFaultKind::kStorageFault;
+    storage.duration = schedule.horizon;
+    storage.magnitude = cell.fault == FaultKind::kFsync ? 0.2 : 0.5;
+    schedule.faults.push_back(storage);
   }
   if (cell.crash_fraction > 0.0) {
-    plan.crash_at_record = static_cast<std::int64_t>(
+    // Duration 0: the machine comes back in place at once.
+    experiments::ChaosFault crash;
+    crash.kind = experiments::ChaosFaultKind::kCrashAtRecord;
+    crash.param = static_cast<std::uint64_t>(
         cell.crash_fraction * static_cast<double>(baseline_records));
+    schedule.faults.push_back(crash);
   }
-  return plan;
+  return schedule;
 }
 
 }  // namespace
@@ -89,27 +109,15 @@ int main(int argc, char** argv) {
       "interval x injected storage fault over the persistent last-hop "
       "proxy"));
 
-  workload::ScenarioConfig scenario = experiments::recovery_scenario();
-  scenario.horizon = 12 * kDay;
-
   // The uninterrupted no-fault run: its digest is what every exact-tier
   // cell must reproduce, and its record count is what the crash fractions
   // index into. (Without faults the sync policy cannot change behavior, so
   // one baseline covers both sync modes.)
-  experiments::RecoveryPlan base_plan;
-  base_plan.scenario = scenario;
-  const experiments::RecoveryOutcome baseline =
-      experiments::run_recovery_plan(base_plan);
+  const experiments::ChaosOutcome baseline =
+      experiments::run_chaos(base_schedule());
+  WAIF_CHECK(baseline.ok());
   WAIF_CHECK(baseline.records_logged > 0);
   WAIF_CHECK(baseline.crashes == 0);
-
-  // Invariant 1: the persistence-off control reads identically.
-  experiments::RecoveryPlan off_plan = base_plan;
-  off_plan.persist = false;
-  const experiments::RecoveryOutcome off =
-      experiments::run_recovery_plan(off_plan);
-  WAIF_CHECK(off.read_digest == baseline.read_digest);
-  WAIF_CHECK(off.total_read == baseline.total_read);
 
   const SyncMode sync_modes[] = {SyncMode::kWriteAhead, SyncMode::kBatched};
   const std::uint64_t snapshot_intervals[] = {32, 256};
@@ -118,50 +126,62 @@ int main(int argc, char** argv) {
   const double crash_fractions[] = {0.0, 0.5};
 
   std::vector<RecoveryCell> cells;
+  std::vector<experiments::ChaosSchedule> schedules;
   for (SyncMode sync : sync_modes) {
     for (std::uint64_t snap : snapshot_intervals) {
       for (FaultKind fault : faults) {
         for (double crash : crash_fractions) {
           cells.push_back(RecoveryCell{sync, snap, fault, crash});
+          schedules.push_back(
+              cell_schedule(cells.back(), baseline.records_logged));
         }
       }
     }
   }
 
-  const std::uint64_t records = baseline.records_logged;
-  const std::vector<experiments::RecoveryOutcome> results = runner.map(
-      cells.size(), [&cells, &scenario, records](std::size_t i) {
-        return experiments::run_recovery_plan(
-            cell_plan(cells[i], scenario, records));
-      });
+  const std::vector<experiments::ChaosOutcome> results = runner.map(
+      schedules.size(),
+      [&schedules](std::size_t i) { return experiments::run_chaos(schedules[i]); });
 
   metrics::Table table(
       "Durability chaos sweep — crash-point recovery under sync policies, "
-      "snapshot intervals and storage faults\n(12-day three-topic runs; "
-      "ahead = write-ahead fsync per record, batch = 32-record sync window; "
-      "crash at half the baseline's WAL;\nΔreads vs the uninterrupted "
-      "no-fault run)",
+      "snapshot intervals and storage faults\n(12-day three-topic runs on "
+      "the replicated last hop with four 3-hour outages; ahead = "
+      "write-ahead fsync per record, batch = 32-record sync window;\n"
+      "fsync / torn = storage-fault window of magnitude 0.2 / 0.5; crash at "
+      "half the baseline's WAL, restarted in place; Δreads vs the "
+      "uninterrupted no-fault run)",
       "sync / snap / fault / crash",
       {"reads", "Δreads", "dupes", "refused", "lost win", "replayed",
        "repairs"});
 
+  const auto max_per_read =
+      static_cast<std::uint64_t>(experiments::chaos_scenario().max);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const RecoveryCell& cell = cells[i];
-    const experiments::RecoveryOutcome& result = results[i];
-    const bool crashed = result.crashes > 0;
+    const experiments::ChaosOutcome& result = results[i];
+    const experiments::ChaosSchedule& schedule = schedules[i];
+    const bool crashed = result.machine_crashes > 0;
     const bool write_ahead = cell.sync == SyncMode::kWriteAhead;
 
-    // Invariant 5: the on-disk image is always recoverable.
-    WAIF_CHECK(result.fsck_recoverable);
-    // Invariant 2: write-ahead syncs + clean storage = exact recovery.
+    // Invariant 5, and every monitor invariant besides.
+    WAIF_CELL_CHECK(result.ok(), "chaos_recovery", i, schedule);
+    // Invariant 1: write-ahead syncs + clean storage = exact recovery.
     if (write_ahead && cell.fault == FaultKind::kNone) {
-      WAIF_CHECK(result.read_digest == baseline.read_digest);
-      WAIF_CHECK(result.total_read == baseline.total_read);
-      if (crashed) WAIF_CHECK(result.lost_window == 0);
+      WAIF_CELL_CHECK(result.read_digest == baseline.read_digest,
+                      "chaos_recovery", i, schedule);
+      WAIF_CELL_CHECK(result.total_read == baseline.total_read,
+                      "chaos_recovery", i, schedule);
+      if (crashed) {
+        WAIF_CELL_CHECK(result.lost_records == 0, "chaos_recovery", i,
+                        schedule);
+      }
     }
-    // No crash + no fault is behavior-neutral for either sync policy.
+    // Invariant 2: no crash + no fault is behavior-neutral for either sync
+    // policy.
     if (!crashed && cell.fault == FaultKind::kNone) {
-      WAIF_CHECK(result.read_digest == baseline.read_digest);
+      WAIF_CELL_CHECK(result.read_digest == baseline.read_digest,
+                      "chaos_recovery", i, schedule);
     }
     // Invariant 3: a crash can only cost the unsynced window (each lost
     // record hides at most one read of up to `max` events; the in-flight
@@ -169,18 +189,21 @@ int main(int argc, char** argv) {
     if (crashed && cell.fault == FaultKind::kNone) {
       const std::int64_t loss = static_cast<std::int64_t>(baseline.total_read) -
                                 static_cast<std::int64_t>(result.total_read);
-      WAIF_CHECK(loss <= static_cast<std::int64_t>(
-                             (result.lost_window + 2) *
-                             static_cast<std::uint64_t>(scenario.max)));
+      WAIF_CELL_CHECK(loss <= static_cast<std::int64_t>(
+                                  (result.lost_records + 2) * max_per_read),
+                      "chaos_recovery", i, schedule);
     }
     // Invariant 4: duplicates require losing a *forward* record, which the
     // write-ahead discipline makes impossible — crash or no crash, faults
     // or not. (Batched cells may legitimately re-deliver.)
     if (write_ahead || !crashed) {
-      WAIF_CHECK(result.duplicate_user_reads == 0);
+      WAIF_CELL_CHECK(result.duplicate_user_reads == 0, "chaos_recovery", i,
+                      schedule);
     }
     // A crash was actually injected where the cell asked for one.
-    if (cell.crash_fraction > 0.0) WAIF_CHECK(crashed);
+    if (cell.crash_fraction > 0.0) {
+      WAIF_CELL_CHECK(crashed, "chaos_recovery", i, schedule);
+    }
 
     char label[64];
     std::snprintf(label, sizeof label, "%s / %3llu / %-5s / %.1f",
@@ -194,7 +217,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(delta),
                    static_cast<double>(result.duplicate_user_reads),
                    static_cast<double>(result.forward_refusals),
-                   static_cast<double>(result.lost_window),
+                   static_cast<double>(result.lost_records),
                    static_cast<double>(result.replayed),
                    static_cast<double>(result.wal_repairs)});
   }

@@ -5,15 +5,18 @@
 //
 //   1. breaker state-machine legality on every observer callback;
 //   2. monotone sequence/ACK/delivery counters at every checkpoint;
-//   3. queue occupancy bounded by the armed budgets (settled samples);
+//   3. queue occupancy bounded by the armed budgets (sampled after every
+//      publish, read, requeue and breaker wake);
 //   4. no admission rejects unless admission control is armed;
-//   5. live-vs-recovered image equality on clean WAL lineage (a crashed
-//      fault-free copy of the backend replays to exactly the live state);
+//   5. live-vs-recovered image equality on clean WAL lineage (a fault-free
+//      copy of the written log replays to exactly the live state), and
+//      every shed journaled in canonical order;
 //   6. no expired event ever reaches the transport or the device;
 //   7. no duplicate user reads without a failover/requeue to explain them;
 //   8. the on-disk image stays fsck-recoverable through everything.
 //
-// Every schedule must come out clean (the binary aborts otherwise), and
+// Every schedule must come out clean (the binary aborts otherwise, after
+// writing the failing cell's schedule as chaos_unified-cell<N>.chaos), and
 // the whole sweep is byte-identical at any --jobs, so the CI determinism
 // diff covers the entire composed-fault surface.
 #include <algorithm>
@@ -98,7 +101,7 @@ int main(int argc, char** argv) {
       "overload-protected last hop, every run checked by the invariant "
       "monitor"));
 
-  // 6 draw shapes x 36 seeds = 216 composed schedules. The gentle tier
+  // 8 draw shapes x 36 seeds = 288 composed schedules. The gentle tier
   // stays below the shedding regime, the fierce tier composes everything.
   struct Shape {
     const char* label;
@@ -157,10 +160,11 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < std::size(shapes); ++s) {
     GroupTotals totals;
     for (std::uint64_t k = 0; k < kSeedsPerShape; ++k) {
-      const experiments::ChaosOutcome& outcome =
-          results[s * kSeedsPerShape + k];
+      const std::size_t cell = s * kSeedsPerShape + k;
+      const experiments::ChaosOutcome& outcome = results[cell];
       // The invariant gate: one violating schedule fails the whole bench.
-      WAIF_CHECK(outcome.ok());
+      WAIF_CELL_CHECK(outcome.ok(), "chaos_unified", cell,
+                      cell_schedule(cells[cell]));
       total_violations += outcome.violations.size();
       total_image_checks += outcome.image_checks;
       ++totals.runs;

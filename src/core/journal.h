@@ -160,8 +160,8 @@ class ProxyRecovery {
  public:
   virtual ~ProxyRecovery() = default;
 
-  /// The standby was promoted; `active` is the new active proxy. Called
-  /// before the promoted proxy is told the network state.
+  /// `active` took the active role: a promoted standby, or a crashed active
+  /// restarted in place. Called before it is told the network state.
   virtual void on_promoted(Proxy& active) { (void)active; }
 
   /// restart_replica built a fresh proxy; fill it from durable state.

@@ -138,8 +138,7 @@ class ReliableDeviceChannel final : public DeviceChannel {
       std::function<void(const pubsub::NotificationPtr&)> observer);
 
   /// Called when the proxy side receives the ACK completing a transfer —
-  /// the durability layer journals device ACKs here, so recovery can tell
-  /// confirmed deliveries from in-doubt ones.
+  /// the durability layer journals device ACKs here.
   void set_ack_observer(
       std::function<void(const pubsub::NotificationPtr&)> observer);
 

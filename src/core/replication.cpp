@@ -177,6 +177,10 @@ void ReplicatedProxy::restart_replica(std::size_t index) {
   WAIF_CHECK(index < 2);
   Replica& replica = replicas_[index];
   WAIF_CHECK(!replica.alive);
+  // The dead process's objects outlive the restart: a crashed active that
+  // nobody was promoted over still carries the durability layer's journal,
+  // which moves to the fresh proxy (on_promoted below) before they go.
+  const Replica crashed = std::move(replica);
   // A fresh process: empty queues, no memory of the device. It re-learns
   // what the device holds through replication records and future reads.
   replica.channel = std::make_unique<ReplicaChannel>(*this, index);
@@ -192,9 +196,11 @@ void ReplicatedProxy::restart_replica(std::size_t index) {
   replica.alive = true;
   ++stats_.restarts;
   if (index == active_) {
-    // The crashed active came back before the detector promoted anyone:
-    // it resumes the active role from a cold start.
+    // The crashed active came back before the detector promoted anyone: it
+    // resumes the active role, and the journal follows it before it
+    // forwards anything.
     last_active_heartbeat_ = sim_.now();
+    if (recovery_ != nullptr) recovery_->on_promoted(*replica.proxy);
     replica.proxy->handle_network(link_.is_up() ? net::LinkState::kUp
                                                 : net::LinkState::kDown);
   }

@@ -106,10 +106,13 @@ class ReplicatedProxy final : public pubsub::Subscriber {
   /// device's local queue only).
   void crash_active();
 
-  /// Brings a crashed replica back as a fresh standby: a new Proxy with the
+  /// Brings a crashed replica back as a fresh process: a new Proxy with the
   /// recorded topic configuration. Without a recovery hook it rejoins cold
   /// (empty queues, re-warming from the live feed); with set_recovery the
   /// hook's warm_restart fills it from durable snapshot+WAL state first.
+  /// A replica restarted after a failover rejoins as the standby; a crashed
+  /// active restarted before the detector fired resumes as the active, and
+  /// the hook's on_promoted moves the journal onto it.
   void restart_replica(std::size_t index);
 
   /// Wires a durability layer (storage::ProxyPersistence) into failover:

@@ -40,14 +40,17 @@ constexpr char kAdaptiveTopic[] = "chaos/adaptive";
 constexpr char kBufferTopic[] = "chaos/buffer";
 constexpr char kOnlineTopic[] = "chaos/online";
 
-/// Floor on a crash fault's restart delay. The failure detector (30 s
-/// heartbeats, 5 min suspicion) promotes the standby well inside this
-/// window, so a dead replica is never still carrying the active role — and
-/// the attached journal — when restart_replica replaces its proxy object.
+/// Heartbeat silence after which the failure detector promotes the standby.
+/// A crash fault whose duration is shorter restarts the active in place.
+constexpr SimDuration kSuspicionTimeout = 5 * kMinute;
+
+/// Floor on a failing-over crash's restart delay. The failure detector
+/// (30 s heartbeats, kSuspicionTimeout) promotes the standby well inside
+/// this window, so the dead replica comes back as the standby.
 constexpr SimDuration kMinRestartDelay = 8 * kMinute;
 
-/// Same three-way policy split as the recovery/overload harnesses, so a
-/// composed schedule crosses every queue and journal stage.
+/// Three topics across the policy spectrum, so a composed schedule crosses
+/// every queue and journal stage.
 std::map<std::string, core::TopicConfig> topic_configs(
     const workload::ScenarioConfig& scenario) {
   std::map<std::string, core::TopicConfig> configs;
@@ -295,7 +298,7 @@ class ChaosHarness {
                   channel_seed(schedule.seed)),
         guard_(sim_, reliable_, monitor_),
         replicated_(sim_, link_, device_, guard_, replication_config()),
-        persistence_(sim_, backend_, storage::PersistenceConfig{}),
+        persistence_(sim_, backend_, schedule.persistence),
         link_seed_state_(schedule.seed ^ 0xC4A05FA17ull),
         storage_seed_state_(schedule.seed ^ 0xC4A05D15Cull) {
     for (const auto& [topic, config] : configs_) {
@@ -333,13 +336,17 @@ class ChaosHarness {
           core::Proxy& active = replicated_.active_proxy();
           if (core::TopicState* topic = active.topic(event->topic)) {
             topic->requeue_undelivered(event);
+            sample_queues();
           }
         });
     // One observer, two jobs: invariant-check the transition and wake the
     // held queues the moment the breaker admits transfers again.
     reliable_.set_breaker_observer([this](core::BreakerState state) {
       monitor_.note_breaker(state, sim_.now());
-      if (state != core::BreakerState::kOpen) wake_forwarding();
+      if (state != core::BreakerState::kOpen) {
+        wake_forwarding();
+        sample_queues();
+      }
     });
 
     for (const auto& [topic, config] : configs_) {
@@ -351,8 +358,7 @@ class ChaosHarness {
       const std::string& topic = entry.topic;
       for (const workload::Arrival& arrival : entry.trace.arrivals) {
         sim_.schedule_at(arrival.time, [this, &topic, arrival] {
-          ++outcome_.arrivals;
-          publisher_.publish(topic, arrival.rank, arrival.lifetime);
+          publish(topic, arrival.rank, arrival.lifetime);
         });
       }
       for (SimTime read_at : entry.trace.reads) {
@@ -626,10 +632,15 @@ class ChaosHarness {
                                          static_cast<std::uint64_t>(2 * kHour)))
                        : kNever;
       sim_.schedule_at(at, [this, topic, rank, lifetime] {
-        ++outcome_.arrivals;
-        publisher_.publish(topic, rank, lifetime);
+        publish(topic, rank, lifetime);
       });
     }
+  }
+
+  void publish(const std::string& topic, double rank, SimDuration lifetime) {
+    ++outcome_.arrivals;
+    publisher_.publish(topic, rank, lifetime);
+    sample_queues();
   }
 
   // --- crashes ---------------------------------------------------------------
@@ -663,13 +674,14 @@ class ChaosHarness {
       // The active's machine dies: the journal loses its writer, the disk
       // loses (or tears) the unsynced tail, and the proxy-side connection
       // state evaporates with the process.
+      outcome_.lost_records += persistence_.unsynced_records();
       persistence_.detach();
       tee_.set_proxy(nullptr);
       lineage_clean_ = false;
       backend_.crash();
-      if (storage_fault_) accumulate_crash_stats();
       const storage::RecoveryResult recovery =
           storage::ProxyPersistence::recover(backend_, configs_);
+      outcome_.replayed += recovery.replayed;
       if (recovery.repaired) ++outcome_.wal_repairs;
       if (!storage::waif_fsck(backend_).recoverable()) {
         monitor_.record("fsck", "backend unrecoverable after machine crash",
@@ -682,27 +694,19 @@ class ChaosHarness {
       monitor_.reset_breaker(core::BreakerState::kClosed);
     }
     replicated_.crash_active();
-    const SimDuration delay = std::max(fault.duration, kMinRestartDelay);
+    // Back before the detector suspects anything: restart in place.
+    // Otherwise the standby takes over and the dead replica rejoins later.
+    const SimDuration delay = fault.duration < kSuspicionTimeout
+                                  ? fault.duration
+                                  : std::max(fault.duration, kMinRestartDelay);
     sim_.schedule_at(sim_.now() + delay, [this, dead] { do_restart(dead); });
   }
 
-  /// Torn writes / bit flips are drawn inside backend_.crash(); fold the
-  /// deltas into the outcome before the model is replaced or dropped.
-  void accumulate_crash_stats() {
-    // accumulate_storage_stats adds the *cumulative* stats of the current
-    // model exactly once, when the model is retired; nothing extra needed
-    // here beyond keeping the model alive until refresh/finish.
-  }
-
+  /// Warm-restarts a dead replica from the durable image. Still the active
+  /// index (no promotion yet) means an in-place restart: restart_replica
+  /// hands the fresh proxy the journal through the tee's on_promoted.
   void do_restart(std::size_t index) {
     if (replicated_.replica_alive(index)) return;
-    if (index == active_index()) {
-      // Promotion has not happened (the pair was already degraded when the
-      // detector looked): restarting the active index would destroy the
-      // journaled proxy object out from under the persistence layer.
-      ++outcome_.faults_skipped;
-      return;
-    }
     replicated_.restart_replica(index);
     ++outcome_.restarts;
     // A fresh proxy process needs the budgets re-armed.
@@ -730,6 +734,7 @@ class ChaosHarness {
       digest_.u64(id);
       if (!seen.insert(id).second) ++outcome_.duplicate_user_reads;
     }
+    sample_queues();
   }
 
   // --- the monitor's checkpoint ----------------------------------------------
@@ -739,7 +744,7 @@ class ChaosHarness {
     const SimTime now = sim_.now();
     monitor_.note_channel(reliable_.snapshot().next_seq, reliable_.stats(),
                           now);
-    sample_queues(now);
+    sample_queues();
     monitor_.note_admission_rejects(
         replicated_.active_proxy().stats().admission_rejects +
             replicated_.standby_proxy().stats().admission_rejects,
@@ -747,7 +752,11 @@ class ChaosHarness {
     check_image(now);
   }
 
-  void sample_queues(SimTime now) {
+  /// Feeds both replicas' occupancy to the monitor and the peaks. Called
+  /// only once a mutation settled (budgets enforced), never from inside
+  /// one: on_enqueue fires before enforcement and may see budget + 1.
+  void sample_queues() {
+    const SimTime now = sim_.now();
     core::Proxy* proxies[2] = {&replicated_.active_proxy(),
                                &replicated_.standby_proxy()};
     for (core::Proxy* proxy : proxies) {
@@ -755,13 +764,16 @@ class ChaosHarness {
       for (const std::string& name : proxy->topic_names()) {
         const std::size_t queued = proxy->topic(name)->queued_total();
         monitor_.note_queue(name, queued, now);
+        outcome_.peak_topic_queued =
+            std::max(outcome_.peak_topic_queued, queued);
         total += queued;
       }
       monitor_.note_proxy_total(total, now);
+      outcome_.peak_queued = std::max(outcome_.peak_queued, total);
     }
   }
 
-  /// Live-vs-recovered digest equality: replay the durable snapshot+WAL
+  /// Live-vs-recovered digest equality: replay the written snapshot+WAL
   /// through the recovery mirror and byte-compare the rebuilt images with
   /// the journaled proxy's snapshots. An event shed (or expired, or moved)
   /// without its journal record survives in the replayed image and breaks
@@ -799,18 +811,18 @@ class ChaosHarness {
       ++outcome_.image_skips;
       return;
     }
-    // Recover from a crash-consistent view: a fault-free copy of the
-    // backend, crashed so only durable bytes remain. The copy keeps the
-    // check free of side effects — recover()'s tail repair truncates the
-    // copy, never the live WAL, and the null fault model keeps the live
-    // model's random stream untouched.
+    // Replay everything written, not just the durable prefix: under a
+    // batched sync policy the two legitimately differ by the unsynced
+    // window (crash consistency is the crash sweeps' and fsck's job). The
+    // copy keeps the check free of side effects — recover()'s tail repair
+    // truncates the copy, never the live WAL, and the null fault model
+    // keeps the live model's random stream untouched.
     storage::MemBackend copy = backend_;
     copy.set_fault_model(nullptr);
-    copy.crash();
     const storage::RecoveryResult recovery =
         storage::ProxyPersistence::recover(copy, configs_);
     if (recovery.repaired || recovery.crc_failures > 0) {
-      // Bit-flip damage in the durable image: repair is recovery's promise,
+      // Damage a crash left in the log: repair is recovery's promise,
       // equality is not. Re-base on a fresh checkpoint.
       lineage_clean_ = false;
       ++outcome_.image_skips;
@@ -842,21 +854,38 @@ class ChaosHarness {
   void finish() {
     outcome_.read_digest = digest_.value();
     outcome_.records_logged = persistence_.record_count();
+    outcome_.wal_syncs = persistence_.stats().syncs;
+    outcome_.forward_refusals = persistence_.stats().forward_refusals;
     const core::ReliableChannelStats& channel = reliable_.stats();
     outcome_.breaker_trips = channel.breaker_trips;
     outcome_.breaker_closes = channel.breaker_closes;
+    outcome_.requeued = channel.requeued;
     const core::ReplicationStats& replication = replicated_.stats();
     outcome_.failovers = replication.failovers;
+    std::uint64_t active_shed = 0;
     core::Proxy* proxies[2] = {&replicated_.active_proxy(),
                                &replicated_.standby_proxy()};
     for (core::Proxy* proxy : proxies) {
       outcome_.admission_rejects += proxy->stats().admission_rejects;
       for (const std::string& name : proxy->topic_names()) {
-        outcome_.shed += proxy->topic(name)->stats().shed;
+        const std::uint64_t shed = proxy->topic(name)->stats().shed;
+        outcome_.shed += shed;
+        if (proxy == proxies[0]) active_shed += shed;
       }
     }
     accumulate_link_stats();
     accumulate_storage_stats();
+
+    // Every shed of the journaled replica reached the journal. Checkable
+    // only while one proxy held the journal all run: a crash hands it to a
+    // proxy whose counters started elsewhere.
+    if (outcome_.crashes == 0 && active_shed != outcome_.journaled_sheds) {
+      monitor_.record("shed-journal",
+                      std::to_string(active_shed) + " sheds but " +
+                          std::to_string(outcome_.journaled_sheds) +
+                          " reached the journal",
+                      sim_.now());
+    }
 
     // Post-recovery duplicate reads: with the write-ahead discipline on and
     // no failovers, machine losses or requeues, a repeated id in the user's
@@ -951,12 +980,19 @@ std::uint64_t ChaosOutcome::digest() const {
   digest.u64(restarts);
   digest.u64(failovers);
   digest.u64(wal_repairs);
+  digest.u64(records_logged);
+  digest.u64(wal_syncs);
+  digest.u64(forward_refusals);
+  digest.u64(lost_records);
+  digest.u64(replayed);
   digest.u64(shed);
   digest.u64(journaled_sheds);
   digest.u64(admission_rejects);
   digest.u64(breaker_trips);
   digest.u64(breaker_closes);
-  digest.u64(records_logged);
+  digest.u64(requeued);
+  digest.u64(peak_queued);
+  digest.u64(peak_topic_queued);
   digest.u64(checks);
   digest.u64(image_checks);
   digest.u64(image_skips);

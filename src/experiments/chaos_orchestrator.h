@@ -4,13 +4,15 @@
 // the reusable InvariantMonitor at every step, and delta-debugging any
 // violating schedule down to a minimal replayable repro.
 //
-// The harness composes every injector the siloed sweeps exercise one at a
-// time (recovery_runner, overload_runner, chaos_lasthop) so their
-// *interactions* get explored: a machine crash mid-shed-storm while the
-// device is half-open is one drawn schedule here, not three separate
-// benches. run_chaos is deterministic: equal schedules produce equal
-// outcomes byte for byte, which is what makes shrink_chaos and `.chaos`
-// replay files (chaos_schedule.h) trustworthy.
+// It is the repo's one last-hop harness. The durability sweep
+// (bench/chaos_recovery, the crash-at-every-record proofs in
+// tests/storage) and the overload sweep (bench/chaos_overload) are fixed
+// schedule families run through it; drawn schedules compose the same
+// injectors so their *interactions* get explored: a machine crash
+// mid-shed-storm while the device is half-open is one schedule here.
+// run_chaos is deterministic: equal schedules produce equal outcomes byte
+// for byte, which is what makes shrink_chaos and `.chaos` replay files
+// (chaos_schedule.h) trustworthy.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +49,31 @@ struct ChaosOutcome {
   std::uint64_t failovers = 0;
   std::uint64_t wal_repairs = 0;
 
+  // --- durability -------------------------------------------------------------
+  std::uint64_t records_logged = 0;
+  /// Successful WAL fsyncs over the run.
+  std::uint64_t wal_syncs = 0;
+  /// Forwards refused because their write-ahead fsync failed.
+  std::uint64_t forward_refusals = 0;
+  /// Unsynced WAL records machine crashes discarded (the loss window).
+  std::uint64_t lost_records = 0;
+  /// WAL records (ACKs aside) replayed past the snapshot watermark, over all
+  /// machine-crash recoveries.
+  std::uint64_t replayed = 0;
+
   // --- protection machinery ------------------------------------------------
+  /// Sheds of both replicas; journaled_sheds counts the journaled one's.
   std::uint64_t shed = 0;
   std::uint64_t journaled_sheds = 0;
   std::uint64_t admission_rejects = 0;
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_closes = 0;
-  std::uint64_t records_logged = 0;
+  /// Transfers the reliable channel gave up on and requeued.
+  std::uint64_t requeued = 0;
+  /// Peak queue occupancy of either replica, proxy-wide and in one topic,
+  /// sampled after every publish, read, requeue and breaker wake.
+  std::size_t peak_queued = 0;
+  std::size_t peak_topic_queued = 0;
 
   // --- monitor coverage ------------------------------------------------------
   /// Periodic checkpoints evaluated.
@@ -74,8 +94,9 @@ struct ChaosOutcome {
   std::uint64_t digest() const;
 };
 
-/// The topics the harness manages (same three-way policy split as the
-/// recovery and overload harnesses, so chaos crosses every journal stage).
+/// The topics the harness manages: an adaptive topic with a delay stage, a
+/// buffer topic with a holding queue and interrupts, and an on-line topic
+/// with a per-day cap, so a run crosses every queue and journal stage.
 std::vector<std::string> chaos_topics();
 
 /// The base workload behind every chaos run. Outages come from the

@@ -91,6 +91,10 @@ void write_chaos(std::ostream& out, const ChaosSchedule& schedule) {
   out << "admission " << schedule.admission_high << ' '
       << schedule.admission_low << "\n";
   out << "breaker-threshold " << schedule.breaker_threshold << "\n";
+  const storage::PersistenceConfig& persistence = schedule.persistence;
+  out << "persistence " << persistence.snapshot_interval << ' '
+      << persistence.sync_interval << ' ' << int{persistence.sync_on_forward}
+      << ' ' << int{persistence.group_commit} << "\n";
   out << "bug " << chaos_bug_name(schedule.bug) << "\n";
   for (const ChaosFault& fault : schedule.faults) {
     out << "fault " << chaos_fault_kind_name(fault.kind) << ' ' << fault.at
@@ -142,6 +146,20 @@ ChaosSchedule read_chaos(std::istream& in) {
       if (!(fields >> schedule.breaker_threshold)) {
         fail(line_number, "bad breaker-threshold");
       }
+    } else if (keyword == "persistence") {
+      storage::PersistenceConfig& persistence = schedule.persistence;
+      int sync_on_forward = 0;
+      int group_commit = 0;
+      if (!(fields >> persistence.snapshot_interval >>
+            persistence.sync_interval >> sync_on_forward >> group_commit)) {
+        fail(line_number, "bad persistence fields");
+      }
+      const auto is_flag = [](int value) { return value == 0 || value == 1; };
+      if (!is_flag(sync_on_forward) || !is_flag(group_commit)) {
+        fail(line_number, "persistence flags must be 0 or 1");
+      }
+      persistence.sync_on_forward = sync_on_forward == 1;
+      persistence.group_commit = group_commit == 1;
     } else if (keyword == "bug") {
       std::string token;
       if (!(fields >> token) || !parse_chaos_bug(token, &schedule.bug)) {
@@ -179,6 +197,9 @@ void validate_chaos(const ChaosSchedule& schedule) {
   require(schedule.horizon > 0, "horizon must be positive");
   require(schedule.admission_low <= schedule.admission_high,
           "admission_low must not exceed admission_high");
+  require(schedule.persistence.keep_snapshots ==
+              storage::PersistenceConfig{}.keep_snapshots,
+          "persistence keep_snapshots is not part of a schedule");
   for (const ChaosFault& fault : schedule.faults) {
     const std::string name(chaos_fault_kind_name(fault.kind));
     require(fault.at >= 0, name + " start must be non-negative");
@@ -205,6 +226,10 @@ std::uint64_t digest_chaos(const ChaosSchedule& schedule) {
   digest.u64(schedule.admission_high);
   digest.u64(schedule.admission_low);
   digest.u64(schedule.breaker_threshold);
+  digest.u64(schedule.persistence.snapshot_interval);
+  digest.u64(schedule.persistence.sync_interval);
+  digest.u64(schedule.persistence.sync_on_forward ? 1 : 0);
+  digest.u64(schedule.persistence.group_commit ? 1 : 0);
   digest.u64(static_cast<std::uint64_t>(schedule.bug));
   digest.u64(schedule.faults.size());
   for (const ChaosFault& fault : schedule.faults) {

@@ -2,13 +2,13 @@
 // shrinks and replays.
 //
 // A ChaosSchedule is a complete, self-contained description of one chaos
-// run: the workload seed, the horizon, the overload/breaker arming, an
-// optional test-only bug hook, and a list of timed faults spanning every
-// injector the repo has grown — link faults, forced outages, storage faults,
-// replica kills, machine crashes at a WAL record index, publish storms and
-// device stalls. Two runs of the same schedule are byte-identical, which is
-// what makes delta-debugging (chaos_orchestrator.h) and `.chaos` replay
-// files meaningful.
+// run: the workload seed, the horizon, the overload/breaker arming, the WAL
+// policy, an optional test-only bug hook, and a list of timed faults
+// spanning every injector the repo has grown — link faults, forced outages,
+// storage faults, replica kills, machine crashes at a WAL record index,
+// publish storms and device stalls. Two runs of the same schedule are
+// byte-identical, which is what makes delta-debugging
+// (chaos_orchestrator.h) and `.chaos` replay files meaningful.
 //
 // `.chaos` format (line-oriented, '#' comments):
 //   waif-chaos v1
@@ -18,6 +18,8 @@
 //   proxy-budget <n>
 //   admission <high> <low>
 //   breaker-threshold <n>
+//   persistence <snapshot-interval> <sync-interval> <sync-on-forward 0|1>
+//               <group-commit 0|1>        (one line)
 //   bug <none|swallow-shed>
 //   fault <kind> <at> <duration> <magnitude> <param> <seed>
 #pragma once
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "storage/persistence.h"
 
 namespace waif::experiments {
 
@@ -45,12 +48,16 @@ enum class ChaosFaultKind : std::uint8_t {
   /// fsync failures at `magnitude`, torn writes and bit flips in tow.
   kStorageFault = 2,
   /// Kill the active replica's process at `at` (state lost to peers only;
-  /// durable image intact); the failure detector promotes the standby and
-  /// the dead replica warm-restarts after the (clamped) duration.
+  /// durable image intact). The duration picks the recovery: shorter than
+  /// the failure detector's suspicion timeout (5 min) restarts the replica
+  /// in place, still the active and warm from the durable image; anything
+  /// longer fails over to the standby and restarts the dead replica after
+  /// max(duration, 8 min).
   kCrashActive = 3,
   /// Machine crash of the active replica once the WAL holds `param`
   /// records: journal detached, backend crashed (torn tail / bit flips
-  /// apply), WAL repaired and resumed, in-flight transfers lost.
+  /// apply), WAL repaired and resumed, in-flight transfers lost. Restarts
+  /// by the kCrashActive duration rule.
   kCrashAtRecord = 4,
   /// Publish storm: `param` extra notifications from `at`, one per second
   /// round-robin across the topics, half of them short-lived.
@@ -112,6 +119,10 @@ struct ChaosSchedule {
   std::size_t admission_low = 0;
   /// Circuit-breaker failure threshold (0 = breaker disabled).
   std::size_t breaker_threshold = 0;
+  /// The WAL policy the active replica journals under. The `.chaos` line
+  /// carries the snapshot interval, sync interval, sync-on-forward and
+  /// group commit; keep_snapshots stays at its default.
+  storage::PersistenceConfig persistence;
   ChaosBug bug = ChaosBug::kNone;
   std::vector<ChaosFault> faults;
 };
@@ -126,7 +137,8 @@ ChaosSchedule read_chaos(std::istream& in);
 
 /// Rejects a schedule run_chaos could not honor (negative times, magnitudes
 /// outside [0, 1], admission_low above admission_high, non-positive
-/// horizon) by throwing std::invalid_argument. read_chaos calls this.
+/// horizon, a keep_snapshots the `.chaos` text cannot carry) by throwing
+/// std::invalid_argument. read_chaos calls this.
 void validate_chaos(const ChaosSchedule& schedule);
 
 /// Canonical digest over every field — equal digests certify byte-identical

@@ -1,18 +1,17 @@
 // The single reusable invariant checker behind the chaos orchestrator.
 //
-// Each siloed harness (recovery, overload, last-hop) bakes its safety
-// checks into WAIF_CHECK aborts, which is right for a targeted sweep but
-// useless for delta-debugging: the shrinker needs "did this schedule
-// violate?" as a value, not a crashed process. The monitor therefore
-// *records* violations — each one a named invariant, a detail string and a
-// sim timestamp — and the orchestrator (or a test fixture) decides what to
-// do with them.
+// A WAIF_CHECK abort is right for a bench's final verdict but useless for
+// delta-debugging: the shrinker needs "did this schedule violate?" as a
+// value, not a crashed process. The monitor therefore *records* violations
+// — each one a named invariant, a detail string and a sim timestamp — and
+// the orchestrator (or a test fixture) decides what to do with them; the
+// chaos benches abort on a violating cell only after saving its schedule.
 //
 // Stateful invariants live here (breaker state-machine legality, monotone
 // seq/ACK counters, queue bounds vs the armed budgets); whole-run checks
-// that need the harness's wiring (live-vs-recovered image equality,
-// duplicate reads after failover) are evaluated by the orchestrator, which
-// reports failures through record().
+// that need the harness's wiring (live-vs-recovered image equality, shed
+// order and journaling, duplicate reads after failover) are evaluated by
+// the orchestrator, which reports failures through record().
 #pragma once
 
 #include <cstdint>

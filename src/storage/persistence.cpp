@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -322,8 +321,7 @@ void ProxyPersistence::warm_restart(core::Proxy& fresh) {
   for (const std::string& name : fresh.topic_names()) {
     configs.emplace(name, fresh.topic(name)->config());
   }
-  const RecoveryResult recovery = recover(backend_, configs);
-  restore_into(fresh, recovery, RecoverUnacked::kTrustForwarded);
+  restore_into(fresh, recover(backend_, configs));
 }
 
 // --- recovery replay ---------------------------------------------------------
@@ -650,7 +648,8 @@ RecoveryResult ProxyPersistence::recover(
   WAIF_CHECK(watermark <= wal.records.size());
   for (std::size_t i = watermark; i < wal.records.size(); ++i) {
     const WalRecord& record = wal.records[i];
-    if (record.type == WalRecordType::kAck) continue;  // handled below
+    // ACKs journal device confirmations; the image does not depend on them.
+    if (record.type == WalRecordType::kAck) continue;
     TopicImage& image = images[record.topic];
     switch (record.type) {
       case WalRecordType::kEnqueue:
@@ -680,35 +679,6 @@ RecoveryResult ProxyPersistence::recover(
     ++result.replayed;
   }
 
-  // The in-doubt set spans the whole log: an event is unacked if its last
-  // forward was never followed by an ACK (or a requeue, which reclaimed it).
-  std::map<std::uint64_t, Notification> in_doubt;
-  for (const WalRecord& record : wal.records) {
-    switch (record.type) {
-      case WalRecordType::kForward:
-        if (!record.replicated) {
-          in_doubt.insert_or_assign(record.event.id.value, record.event);
-        }
-        break;
-      case WalRecordType::kAck:
-        in_doubt.erase(record.id);
-        break;
-      case WalRecordType::kRequeue:
-        in_doubt.erase(record.event.id.value);
-        break;
-      default:
-        break;
-    }
-  }
-  // Only meaningful when ACKs were journaled at all (reliable channel).
-  const bool has_acks = std::any_of(
-      wal.records.begin(), wal.records.end(),
-      [](const WalRecord& r) { return r.type == WalRecordType::kAck; });
-  if (has_acks) {
-    result.unacked.reserve(in_doubt.size());
-    for (const auto& [id, event] : in_doubt) result.unacked.push_back(event);
-  }
-
   result.state.watermark = wal.records.size();
   result.state.taken_at = base.taken_at;
   result.state.has_channel = base.has_channel;
@@ -720,21 +690,11 @@ RecoveryResult ProxyPersistence::recover(
 }
 
 void ProxyPersistence::restore_into(core::Proxy& proxy,
-                                    const RecoveryResult& recovery,
-                                    RecoverUnacked mode) {
+                                    const RecoveryResult& recovery) {
   for (const auto& [name, snapshot] : recovery.state.topics) {
     core::TopicState* topic = proxy.topic(name);
     WAIF_CHECK(topic != nullptr);
     topic->restore(snapshot);
-  }
-  if (mode == RecoverUnacked::kRequeueHolding) {
-    const SimTime now = proxy.simulator().now();
-    for (const Notification& event : recovery.unacked) {
-      if (event.expired_at(now)) continue;
-      core::TopicState* topic = proxy.topic(event.topic);
-      if (topic == nullptr) continue;
-      topic->requeue_undelivered(std::make_shared<const Notification>(event));
-    }
   }
 }
 

@@ -87,10 +87,6 @@ struct RecoveryResult {
   /// total valid WAL record count — seed a continuing ProxyPersistence from
   /// it via resume_from().
   ProxySnapshot state;
-  /// Events logged as forwarded but never ACKed by the device (reliable
-  /// channel deployments only — empty without kAck records). In doubt: the
-  /// crash may have hit before or after the device got them.
-  std::vector<pubsub::Notification> unacked;
   std::uint64_t wal_records = 0;       // valid records in the log
   std::uint64_t replayed = 0;          // records applied past the watermark
   bool from_snapshot = false;
@@ -99,17 +95,6 @@ struct RecoveryResult {
   bool repaired = false;               // damaged WAL tail truncated away
   std::uint64_t crc_failures = 0;      // WAL frames rejected by CRC
   bool torn_tail = false;              // WAL ended mid-frame
-};
-
-/// Policy for the in-doubt (forwarded, never ACKed) events at restore time.
-enum class RecoverUnacked : std::uint8_t {
-  /// Trust the log: treat them as delivered. A transfer the crash actually
-  /// killed surfaces as a loss the next READ can repair.
-  kTrustForwarded,
-  /// Distrust the transport: requeue each still-live in-doubt event into
-  /// the holding queue (TopicState::requeue_undelivered). The device-side
-  /// dedup window absorbs the re-send if the original did arrive.
-  kRequeueHolding,
 };
 
 class ProxyPersistence final : public core::ProxyJournal,
@@ -151,8 +136,8 @@ class ProxyPersistence final : public core::ProxyJournal,
   /// failed sync aborted it. No-op (false) while detached.
   bool snapshot_now();
 
-  /// The device ACKed `event` (reliable channel): journal it so recovery
-  /// can tell confirmed deliveries from in-doubt ones.
+  /// The device ACKed `event` (reliable channel): journal it. The log keeps
+  /// the confirmation; recovery counts every forward as delivered anyway.
   void on_device_ack(const pubsub::NotificationPtr& event);
 
   const PersistenceStats& stats() const { return stats_; }
@@ -178,11 +163,13 @@ class ProxyPersistence final : public core::ProxyJournal,
                SimTime at) override;
 
   // --- core::ProxyRecovery --------------------------------------------------
-  /// Failover: follow the active role — journal the promoted proxy and
-  /// immediately re-base the log with a checkpoint of its state.
+  /// The active role moved (failover, or an in-place restart): journal the
+  /// new active proxy and immediately re-base the log with a checkpoint of
+  /// its state. The previous attachment is detached first, so it must
+  /// still be alive.
   void on_promoted(core::Proxy& active) override;
   /// restart_replica built a fresh proxy: fill it from the durable state
-  /// (recover + restore_into with kTrustForwarded). Does not attach.
+  /// (recover + restore_into). Does not attach.
   void warm_restart(core::Proxy& fresh) override;
 
   // --- recovery (static: no live ProxyPersistence needed) -------------------
@@ -195,11 +182,12 @@ class ProxyPersistence final : public core::ProxyJournal,
       const std::map<std::string, core::TopicConfig>& configs);
 
   /// Applies a RecoveryResult to a proxy whose topics are already added but
-  /// untouched. Restores every topic image; with kRequeueHolding also
-  /// requeues the still-live in-doubt events. Does not call handle_network
-  /// or try_forwarding — the caller drives those once wiring is complete.
-  static void restore_into(core::Proxy& proxy, const RecoveryResult& recovery,
-                           RecoverUnacked mode = RecoverUnacked::kTrustForwarded);
+  /// untouched: restores every topic image. Forwarded events count as
+  /// delivered whether or not an ACK record followed — a transfer the crash
+  /// killed surfaces as a loss the next READ can repair. Does not call
+  /// handle_network or try_forwarding — the caller drives those once wiring
+  /// is complete.
+  static void restore_into(core::Proxy& proxy, const RecoveryResult& recovery);
 
  private:
   /// Appends one record and runs the sync/snapshot/hook policy chain.

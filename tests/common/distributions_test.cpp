@@ -183,12 +183,17 @@ TEST_P(DurationDistributionTest, MeanMatchesAndNonNegative) {
               GetParam().mean_tolerance);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllShapes, DurationDistributionTest,
-    ::testing::Values(DurationCase{DurationShape::kConstant, 1e-9},
-                      DurationCase{DurationShape::kExponential, 0.02},
-                      DurationCase{DurationShape::kUniform, 0.02},
-                      DurationCase{DurationShape::kNormal, 0.02}));
+// gtest prints a DurationCase's raw bytes into the test name, padding after
+// `shape` included. Static storage zero-fills that padding; cases built on
+// the stack would name the tests after whatever the stack last held.
+constexpr DurationCase kDurationCases[] = {
+    {DurationShape::kConstant, 1e-9},
+    {DurationShape::kExponential, 0.02},
+    {DurationShape::kUniform, 0.02},
+    {DurationShape::kNormal, 0.02}};
+
+INSTANTIATE_TEST_SUITE_P(AllShapes, DurationDistributionTest,
+                         ::testing::ValuesIn(kDurationCases));
 
 TEST(DurationDistributionTest, ZeroMean) {
   Rng rng(18);

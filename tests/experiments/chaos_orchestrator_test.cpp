@@ -63,6 +63,31 @@ TEST(ChaosOrchestrator, ComposedSchedulesKeepAllInvariants) {
   EXPECT_GT(image_checks, 100u);
 }
 
+TEST(ChaosOrchestrator, ShortCrashesRestartInPlaceLongOnesFailOver) {
+  // A replica kill shorter than the detector's suspicion timeout brings
+  // the active back in place, journal and all; a longer one fails over.
+  ChaosSchedule schedule;
+  schedule.horizon = kDay;
+  ChaosFault crash;
+  crash.kind = ChaosFaultKind::kCrashActive;
+  crash.at = 10 * kHour;
+  crash.duration = kMinute;
+  schedule.faults.push_back(crash);
+
+  const ChaosOutcome in_place = run_chaos(schedule);
+  EXPECT_EQ(in_place.crashes, 1u);
+  EXPECT_EQ(in_place.restarts, 1u);
+  EXPECT_EQ(in_place.failovers, 0u);
+  EXPECT_GT(in_place.image_checks, 0u);
+  EXPECT_TRUE(in_place.ok());
+
+  schedule.faults[0].duration = 20 * kMinute;
+  const ChaosOutcome failed_over = run_chaos(schedule);
+  EXPECT_EQ(failed_over.restarts, 1u);
+  EXPECT_EQ(failed_over.failovers, 1u);
+  EXPECT_TRUE(failed_over.ok());
+}
+
 TEST(ChaosOrchestrator, RejectsInvalidSchedules) {
   ChaosSchedule schedule = draw_chaos(ChaosDrawConfig{}, 1);
   schedule.faults[0].magnitude = 2.0;

@@ -18,6 +18,10 @@ ChaosSchedule sample_schedule() {
   schedule.admission_high = 24;
   schedule.admission_low = 10;
   schedule.breaker_threshold = 2;
+  schedule.persistence.snapshot_interval = 16;
+  schedule.persistence.sync_interval = 32;
+  schedule.persistence.sync_on_forward = false;
+  schedule.persistence.group_commit = true;
   schedule.bug = ChaosBug::kSwallowShedJournal;
   ChaosFault fault;
   fault.kind = ChaosFaultKind::kStorm;
@@ -43,6 +47,10 @@ TEST(ChaosSchedule, RoundTripsThroughText) {
 
   EXPECT_EQ(digest_chaos(reread), digest_chaos(original));
   EXPECT_EQ(reread.seed, original.seed);
+  EXPECT_EQ(reread.persistence.snapshot_interval, 16u);
+  EXPECT_EQ(reread.persistence.sync_interval, 32u);
+  EXPECT_FALSE(reread.persistence.sync_on_forward);
+  EXPECT_TRUE(reread.persistence.group_commit);
   EXPECT_EQ(reread.bug, ChaosBug::kSwallowShedJournal);
   ASSERT_EQ(reread.faults.size(), 2u);
   EXPECT_EQ(reread.faults[0].kind, ChaosFaultKind::kStorm);
@@ -78,6 +86,8 @@ TEST(ChaosSchedule, ReadRejectsDamagedInput) {
   reject("waif-chaos v1\nfault meteor 0 0 0 0 0\n");  // unknown kind
   reject("waif-chaos v1\nfault storm 0 0 1.5 0 0\n");  // magnitude > 1
   reject("waif-chaos v1\nhorizon -5\n");        // fails validation
+  reject("waif-chaos v1\npersistence 64 1 2 0\n");  // flag other than 0/1
+  reject("waif-chaos v1\npersistence 64 1 1\n");    // missing field
 }
 
 TEST(ChaosSchedule, ValidateRejectsBadFields) {

@@ -2,7 +2,9 @@
 // driven through simulated time with outages, expirations and rank changes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "core/channel.h"
@@ -14,6 +16,10 @@
 #include "pubsub/overlay.h"
 #include "pubsub/publisher.h"
 #include "sim/simulator.h"
+#include "storage/backend.h"
+#include "storage/persistence.h"
+#include "workload/scenario.h"
+#include "workload/trace.h"
 
 namespace waif {
 namespace {
@@ -228,6 +234,79 @@ TEST_F(LastHopIntegrationTest, ConstrainedDeviceEvictsLowRanked) {
 
   EXPECT_EQ(small.queue_size(), 2u);
   EXPECT_EQ(small.stats().evicted, 1u);  // needless transfer: pure waste
+}
+
+/// Replays one outage-laced three-day trace through a Proxy +
+/// LastHopSession world and returns the ids of every user read, in order.
+/// With `journal` on, a ProxyPersistence on a MemBackend journals every
+/// mutation and checkpoints every 64 records.
+std::vector<std::uint64_t> replay_read_ids(bool journal) {
+  workload::ScenarioConfig scenario;
+  scenario.event_frequency = 24.0;
+  scenario.user_frequency = 4.0;
+  scenario.max = 8;
+  scenario.threshold = 1.0;
+  scenario.expiring_fraction = 0.75;
+  scenario.mean_expiration = 8 * kHour;
+  scenario.outage_fraction = 0.2;
+  scenario.mean_outage = 3 * kHour;
+  scenario.horizon = 3 * kDay;
+  const workload::Trace trace = workload::generate_trace(scenario, 7);
+
+  sim::Simulator sim;
+  pubsub::Broker broker(sim);
+  net::Link link(sim);
+  device::Device device(sim, DeviceId{1});
+  core::SimDeviceChannel channel(link, device);
+  core::Proxy proxy(sim, channel);
+  TopicConfig config;
+  config.options.max = scenario.max;
+  config.options.threshold = scenario.threshold;
+  config.policy = PolicyConfig::adaptive();
+  config.policy.delay = 30 * kMinute;  // crosses the delay stage too
+  proxy.add_topic("news", config);
+  broker.subscribe("news", proxy, config.options);
+  proxy.attach_to_link(link);
+  core::LastHopSession session(proxy, channel);
+  link.apply_schedule(trace.outages);
+
+  storage::MemBackend backend;
+  storage::ProxyPersistence persistence(sim, backend,
+                                        {.snapshot_interval = 64});
+  if (journal) persistence.attach(proxy);
+
+  pubsub::Publisher publisher(broker, "p");
+  for (const workload::Arrival& arrival : trace.arrivals) {
+    sim.schedule_at(arrival.time, [&publisher, arrival] {
+      publisher.publish("news", arrival.rank, arrival.lifetime);
+    });
+  }
+  std::vector<std::uint64_t> ids;
+  for (SimTime at : trace.reads) {
+    sim.schedule_at(at, [&session, &ids] {
+      for (const pubsub::NotificationPtr& event : session.user_read("news")) {
+        ids.push_back(event->id.value);
+      }
+    });
+  }
+  sim.run_until(scenario.horizon);
+
+  if (journal) {
+    EXPECT_GT(persistence.record_count(), 100u);
+    EXPECT_GT(persistence.stats().snapshots, 0u);
+  }
+  return ids;
+}
+
+// Filed with the crash/recovery suite (tests/storage/recovery_test.cpp),
+// whose name it keeps: it is that suite's no-fault control.
+TEST(RecoveryRunner, PersistenceIsBehaviorNeutralWithoutFaults) {
+  // Journaling every mutation and snapshotting must not perturb the run:
+  // the same trace reads the exact same notifications in the same order.
+  const std::vector<std::uint64_t> plain = replay_read_ids(false);
+  const std::vector<std::uint64_t> journaled = replay_read_ids(true);
+  ASSERT_FALSE(plain.empty());
+  EXPECT_EQ(plain, journaled);
 }
 
 }  // namespace

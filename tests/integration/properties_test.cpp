@@ -63,9 +63,12 @@ INSTANTIATE_TEST_SUITE_P(
 // Invariants that hold for every policy across mixed conditions.
 // ---------------------------------------------------------------------------
 
+// gtest prints a PolicyCase's raw bytes into the test name. `kind` leads so
+// those bytes start with a fixed value, not with the address of `name`,
+// which moves whenever the binary's layout does.
 struct PolicyCase {
-  const char* name;
   PolicyKind kind;
+  const char* name;
 };
 
 class PolicyInvariantsTest
@@ -130,11 +133,11 @@ TEST_P(PolicyInvariantsTest, NoTrafficWhileLinkDownEver) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, PolicyInvariantsTest,
     ::testing::Combine(
-        ::testing::Values(PolicyCase{"online", PolicyKind::kOnline},
-                          PolicyCase{"ondemand", PolicyKind::kOnDemand},
-                          PolicyCase{"buffer", PolicyKind::kBufferPrefetch},
-                          PolicyCase{"rate", PolicyKind::kRatePrefetch},
-                          PolicyCase{"adaptive", PolicyKind::kAdaptive}),
+        ::testing::Values(PolicyCase{PolicyKind::kOnline, "online"},
+                          PolicyCase{PolicyKind::kOnDemand, "ondemand"},
+                          PolicyCase{PolicyKind::kBufferPrefetch, "buffer"},
+                          PolicyCase{PolicyKind::kRatePrefetch, "rate"},
+                          PolicyCase{PolicyKind::kAdaptive, "adaptive"}),
         ::testing::Values(0.0, 0.5, 1.0)),
     [](const ::testing::TestParamInfo<std::tuple<PolicyCase, double>>&
            param_info) {

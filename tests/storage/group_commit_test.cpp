@@ -4,18 +4,21 @@
 // Two layers of proof. The unit half pins that the staged path writes a log
 // byte-identical to the per-record path (same frames, same order — only the
 // backend call pattern differs) and that the writer's staging accounting is
-// sound. The crash half reuses the crash-point recovery harness: with group
-// commit ON, killing the proxy at EVERY WAL record index still recovers to
-// the exact uninterrupted digest — the post-event flush makes the batch
-// durable before any same-instant event (including the crash) can run — while
-// the run fsyncs measurably fewer times than sync-every-record persistence.
+// sound. The crash half runs `crash-at-record` schedules through the
+// last-hop harness (experiments/chaos_orchestrator.h): with group commit
+// ON, killing the machine at EVERY WAL record index and restarting it in
+// place still recovers to the exact uninterrupted digest — the post-event
+// flush makes the batch durable before any same-instant event (including
+// the crash) can run — while the run fsyncs measurably fewer times than
+// sync-every-record persistence.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/time.h"
-#include "experiments/recovery_runner.h"
+#include "experiments/chaos_orchestrator.h"
+#include "experiments/chaos_schedule.h"
 #include "storage/backend.h"
 #include "storage/wal.h"
 
@@ -119,57 +122,64 @@ TEST(WalGroupCommit, StagingAccountingAndCrashSemantics) {
   EXPECT_EQ(decoded.records.size(), 2u);
 }
 
-// --- crash sweep over the recovery harness ----------------------------------
+// --- crash sweep over the last-hop harness ----------------------------------
 
-experiments::RecoveryPlan group_commit_plan() {
-  experiments::RecoveryPlan plan;
-  plan.scenario = experiments::recovery_scenario();
-  plan.scenario.horizon = 1 * kDay;  // keep the every-record sweep cheap
-  plan.seed = 11;
-  plan.persistence.group_commit = true;
-  plan.persistence.sync_on_forward = true;
-  plan.persistence.snapshot_interval = 64;
-  return plan;
+/// One simulated day of the three-topic last hop with two 3-hour outages,
+/// journaled with group commit (write-ahead forwards stay on).
+experiments::ChaosSchedule group_commit_schedule() {
+  experiments::ChaosSchedule schedule;
+  schedule.seed = 11;
+  schedule.horizon = kDay;  // keep the every-record sweep cheap
+  schedule.persistence.group_commit = true;
+  schedule.persistence.snapshot_interval = 64;
+  for (SimTime at : {6 * kHour, 15 * kHour}) {
+    experiments::ChaosFault outage;
+    outage.kind = experiments::ChaosFaultKind::kOutage;
+    outage.at = at;
+    outage.duration = 3 * kHour;
+    schedule.faults.push_back(outage);
+  }
+  return schedule;
 }
 
 TEST(WalGroupCommit, CrashInsideBatchedFlushRecoversExactlyAtEveryRecord) {
-  const experiments::RecoveryPlan plan = group_commit_plan();
-  const experiments::RecoveryOutcome baseline =
-      experiments::run_recovery_plan(plan);
+  const experiments::ChaosSchedule plan = group_commit_schedule();
+  const experiments::ChaosOutcome baseline = experiments::run_chaos(plan);
+  ASSERT_TRUE(baseline.ok());
   ASSERT_GT(baseline.records_logged, 50u);
   ASSERT_EQ(baseline.crashes, 0u);
 
   for (std::uint64_t n = 1; n <= baseline.records_logged; ++n) {
-    experiments::RecoveryPlan crashed = plan;
-    crashed.crash_at_record = static_cast<std::int64_t>(n);
-    const experiments::RecoveryOutcome outcome =
-        experiments::run_recovery_plan(crashed);
-    ASSERT_EQ(outcome.crashes, 1u) << "crash at record " << n;
+    experiments::ChaosSchedule crashed = plan;
+    experiments::ChaosFault crash;
+    crash.kind = experiments::ChaosFaultKind::kCrashAtRecord;
+    crash.param = n;  // duration 0: the machine restarts in place at once
+    crashed.faults.push_back(crash);
+    const experiments::ChaosOutcome outcome = experiments::run_chaos(crashed);
+    ASSERT_EQ(outcome.machine_crashes, 1u) << "crash at record " << n;
     // The post-event flush ran before the crash event could: nothing staged,
     // nothing unsynced, nothing lost.
-    ASSERT_EQ(outcome.lost_window, 0u) << "crash at record " << n;
+    ASSERT_EQ(outcome.lost_records, 0u) << "crash at record " << n;
     ASSERT_EQ(outcome.read_digest, baseline.read_digest)
         << "crash at record " << n;
     ASSERT_EQ(outcome.total_read, baseline.total_read)
         << "crash at record " << n;
-    ASSERT_EQ(outcome.records_logged, baseline.records_logged)
-        << "crash at record " << n;
     ASSERT_EQ(outcome.duplicate_user_reads, 0u) << "crash at record " << n;
-    ASSERT_TRUE(outcome.fsck_recoverable) << "crash at record " << n;
+    ASSERT_TRUE(outcome.ok()) << "crash at record " << n;
   }
 }
 
 TEST(WalGroupCommit, GroupCommitMatchesPerRecordDigestWithFewerFsyncs) {
-  experiments::RecoveryPlan grouped = group_commit_plan();
+  const experiments::ChaosSchedule grouped = group_commit_schedule();
 
-  experiments::RecoveryPlan per_record = grouped;
+  experiments::ChaosSchedule per_record = grouped;
   per_record.persistence.group_commit = false;
   per_record.persistence.sync_interval = 1;
 
-  const experiments::RecoveryOutcome grouped_outcome =
-      experiments::run_recovery_plan(grouped);
-  const experiments::RecoveryOutcome per_record_outcome =
-      experiments::run_recovery_plan(per_record);
+  const experiments::ChaosOutcome grouped_outcome =
+      experiments::run_chaos(grouped);
+  const experiments::ChaosOutcome per_record_outcome =
+      experiments::run_chaos(per_record);
 
   // Same run, same log, same reads — group commit is behavior-neutral.
   EXPECT_EQ(grouped_outcome.read_digest, per_record_outcome.read_digest);

@@ -1,7 +1,8 @@
 // ProxyPersistence wired into the replication layer: the journal follows
 // the active replica across a failover (on_promoted re-bases the log with a
-// checkpoint of the promoted proxy), and restart_replica warm-starts the
-// rebuilt replica from the durable state instead of cold.
+// checkpoint of the promoted proxy) and across an in-place restart of the
+// active, and restart_replica warm-starts the rebuilt replica from the
+// durable state instead of cold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -118,6 +119,60 @@ TEST(ReplicatedRecovery, JournalFollowsFailoverAndWarmStartsReplicas) {
   sim.schedule_at(37 * kHour, [&proxy] { proxy.user_read(kTopic); });
   sim.run_until(40 * kHour);
   EXPECT_TRUE(proxy.active_is_alive());
+}
+
+TEST(ReplicatedRecovery, InPlaceRestartMovesTheJournalToTheFreshActive) {
+  // A crashed active restarted before the detector fires replaces the very
+  // proxy the journal is attached to. The journal must follow the fresh
+  // active (and never touch the destroyed one again, teardown included).
+  sim::Simulator sim;
+  pubsub::Broker broker(sim, 4096);
+  net::Link link(sim);
+  device::Device device(sim, DeviceId{1});
+
+  core::ReplicationConfig replication;
+  replication.replication_latency = 50 * kMillisecond;
+  replication.heartbeat_interval = 30 * kSecond;
+  replication.suspicion_timeout = 5 * kMinute;
+  core::ReplicatedProxy proxy(sim, link, device, replication);
+  proxy.add_topic(kTopic, topic_config());
+  broker.subscribe(kTopic, proxy, topic_config().options);
+
+  MemBackend backend;
+  ProxyPersistence persistence(sim, backend, {});
+  proxy.set_recovery(&persistence);
+  persistence.attach(proxy.active_proxy());
+
+  pubsub::Publisher publisher(broker, "workload");
+  publisher.advertise(kTopic);
+  for (int i = 0; i < 20; ++i) {
+    sim.schedule_at(i * kHour + 7 * kMinute, [&publisher, i] {
+      publisher.publish(kTopic, 1.0 + (i % 4), kNever);
+    });
+  }
+  sim.schedule_at(5 * kHour, [&proxy] { proxy.user_read(kTopic); });
+
+  sim.run_until(10 * kHour);
+  proxy.crash_active();
+  sim.run_until(10 * kHour + 2 * kMinute);
+  ASSERT_TRUE(proxy.primary_is_active());  // the detector has not fired
+  proxy.restart_replica(0);
+  const std::uint64_t records_at_restart = persistence.record_count();
+
+  sim.run_until(20 * kHour);
+  EXPECT_EQ(proxy.stats().failovers, 0u);
+  EXPECT_EQ(proxy.stats().restarts, 1u);
+  EXPECT_TRUE(proxy.primary_is_active());
+  // The restarted active forwards the later arrivals, and journals them.
+  EXPECT_GT(persistence.record_count(), records_at_restart);
+
+  std::map<std::string, core::TopicConfig> configs;
+  configs.emplace(kTopic, topic_config());
+  ASSERT_TRUE(persistence.snapshot_now());
+  const RecoveryResult recovery = ProxyPersistence::recover(backend, configs);
+  ASSERT_EQ(recovery.state.topics.size(), 1u);
+  EXPECT_EQ(canonical_bytes(recovery.state.topics[0].second),
+            canonical_bytes(proxy.active_proxy().topic(kTopic)->snapshot()));
 }
 
 }  // namespace
