@@ -371,6 +371,7 @@ class ElasticRun {
   }
 
   void run_segment(ParallelRunner& runner, SimTime t0, SimTime t1) {
+    source_lineage_.clear();  // the segment appends to every node's WAL
     // Route the segment's slice of the trace (coordinator thread). Each
     // entry is (fire instant, trace index); without the capacity model the
     // fire instant is simply the publish time (the legacy path, byte for
@@ -531,7 +532,7 @@ class ElasticRun {
         journal_append_retry(record, rng, &now);
         maybe_crash(MigrationStage::kDrained, hold.id, hold.from, hold.to,
                     &now);
-        // GC the shipped blobs: the destination's own checkpoint (taken
+        // GC the shipped blobs: the destination's own WAL (the kAdopt fold
         // before the flip) carries the state now.
         nodes_[hold.to]->backend.remove(migration_image_blob(hold.id));
         nodes_[hold.to]->backend.remove(migration_tail_blob(hold.id));
@@ -642,6 +643,7 @@ class ElasticRun {
   }
 
   void retire_node(Node& node) {
+    source_lineage_.erase(node.shard);
     wal_records_total_ += node.persistence->stats().records;
     snapshots_total_ += node.persistence->stats().snapshots;
     node.persistence->detach();
@@ -809,6 +811,7 @@ class ElasticRun {
   /// memory — the structural enforcement of single-owner on recovery.
   void crash_node(std::uint32_t shard, SimTime) {
     Node& node = *nodes_[shard];
+    source_lineage_.erase(shard);  // the crash may cut its log
     ++crashes_;
     wal_records_total_ += node.persistence->stats().records;
     snapshots_total_ += node.persistence->stats().snapshots;
@@ -916,9 +919,18 @@ class ElasticRun {
       return rollback();
     }
 
-    // 3. Ship: snapshot image + WAL tail, durable on the destination.
-    TopicLineage lineage;
-    if (!extract_topic_lineage(src.backend, name, &lineage)) return rollback();
+    // 3. Ship: snapshot image + WAL tail, durable on the destination. The
+    // source's lineage is read once per boundary and each moved topic
+    // picked from it. The destination's backend changes from here on
+    // (ship, fold, a rollback's re-base), so any read of it is dropped.
+    auto source = source_lineage_.find(from);
+    if (source == source_lineage_.end()) {
+      NodeLineage read;
+      if (!read_node_lineage(src.backend, &read)) return rollback();
+      source = source_lineage_.emplace(from, std::move(read)).first;
+    }
+    const TopicLineage lineage = pick_topic_lineage(source->second, name);
+    source_lineage_.erase(to);
     const std::vector<std::uint8_t> image_bytes =
         encode_topic_image(name, lineage.image);
     const std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
@@ -949,7 +961,7 @@ class ElasticRun {
     }
 
     // 4. Replay through the recovery machinery, then fold the topic into
-    // the destination's own durable lineage before the flip.
+    // the destination's own WAL (one kAdopt record) before the flip.
     std::vector<std::uint8_t> image_read;
     std::vector<std::uint8_t> tail_read;
     if (!dst.backend.read(migration_image_blob(id), &image_read) ||
@@ -968,12 +980,12 @@ class ElasticRun {
     dst.proxy->add_topic(name, elastic_topic_config());
     dst.proxy->topic(name)->restore(rebuilt);
     dst.owned.emplace(name, elastic_topic_config());
-    bool checkpointed = false;
+    bool folded = false;
     for (std::uint32_t attempt = 1; attempt <= config_.migration.max_attempts;
          ++attempt) {
       now += config_.migration.checkpoint_latency;
-      if (!op_fails(now, rng) && dst.persistence->snapshot_now()) {
-        checkpointed = true;
+      if (!op_fails(now, rng) && dst.persistence->adopt(name)) {
+        folded = true;
         break;
       }
       if (attempt < config_.migration.max_attempts) {
@@ -981,7 +993,7 @@ class ElasticRun {
         now += migration_backoff(config_.migration, attempt);
       }
     }
-    if (!checkpointed) return rollback();
+    if (!folded) return rollback();
     if (!journal_step(MigrationStage::kReplayed, 0, 0)) return rollback();
     if (maybe_crash(MigrationStage::kReplayed, id, from, to, &now)) {
       return rollback();
@@ -1195,6 +1207,12 @@ class ElasticRun {
   std::vector<std::vector<Mailbox>> boxes_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::uint32_t, Hold> holds_;
+  /// Each migration source's decoded lineage at the current boundary, by
+  /// shard (coordinator thread only). Giving a topic away writes nothing
+  /// (Proxy::remove_topic), so every move off one node at one boundary
+  /// picks from one read. An entry goes whenever its node's backend can
+  /// change: segment start, the node turning destination, a crash, retiring.
+  std::map<std::uint32_t, NodeLineage> source_lineage_;
 
   std::vector<bool> crash_fired_;
   std::vector<bool> node_crash_fired_;

@@ -17,11 +17,12 @@
 // Resizes run the shard_migration.h protocol per moved topic: quiesce the
 // topic on the source (hold its traffic, outage-style), ship its snapshot
 // image + WAL tail to the destination backend, replay them through
-// ProxyPersistence::recover, checkpoint the destination, then atomically
-// flip ownership (one fsynced journal record IS the commit) and drain the
-// held traffic on the new owner. A crash at any stage — source node,
-// destination node, or the migration journal itself — resumes to either
-// fully-migrated or fully-rolled-back, never split ownership.
+// ProxyPersistence::recover, fold the topic into the destination's WAL
+// (one kAdopt record), then atomically flip ownership (one fsynced journal
+// record IS the commit) and drain the held traffic on the new owner. A
+// crash at any stage — source node, destination node, or the migration
+// journal itself — resumes to either fully-migrated or fully-rolled-back,
+// never split ownership.
 //
 // Execution is segmented: the run advances between boundaries (checkpoint
 // instants, resize instants, the horizon); within a segment the nodes run

@@ -192,9 +192,9 @@ SimDuration migration_backoff(const MigrationConfig& config,
   return std::min(backoff, config.backoff_cap);
 }
 
-bool extract_topic_lineage(const storage::StorageBackend& backend,
-                           const std::string& topic, TopicLineage* out) {
-  *out = TopicLineage{};
+bool read_node_lineage(const storage::StorageBackend& backend,
+                       NodeLineage* out) {
+  *out = NodeLineage{};
 
   storage::ProxySnapshot snapshot;
   std::uint64_t seq = 0;
@@ -202,21 +202,39 @@ bool extract_topic_lineage(const storage::StorageBackend& backend,
   const bool from_snapshot =
       load_latest_snapshot(backend, &snapshot, &seq, &damaged);
 
-  const storage::WalReadResult wal = read_wal(backend);
+  storage::WalReadResult wal = read_wal(backend);
   if (from_snapshot) {
     if (snapshot.watermark > wal.records.size()) return false;
     out->watermark = snapshot.watermark;
-    const auto it = std::find_if(
-        snapshot.topics.begin(), snapshot.topics.end(),
-        [&](const auto& entry) { return entry.first == topic; });
-    if (it != snapshot.topics.end()) {
-      out->image = it->second;
-      out->has_image = true;
+    for (auto& [name, image] : snapshot.topics) {
+      out->images.emplace(std::move(name), std::move(image));
     }
   }
   for (std::size_t i = out->watermark; i < wal.records.size(); ++i) {
-    if (wal.records[i].topic == topic) out->tail.push_back(wal.records[i]);
+    out->tails[wal.records[i].topic].push_back(std::move(wal.records[i]));
   }
+  return true;
+}
+
+TopicLineage pick_topic_lineage(const NodeLineage& node,
+                                const std::string& topic) {
+  TopicLineage lineage;
+  lineage.watermark = node.watermark;
+  const auto image = node.images.find(topic);
+  if (image != node.images.end()) {
+    lineage.image = image->second;
+    lineage.has_image = true;
+  }
+  const auto tail = node.tails.find(topic);
+  if (tail != node.tails.end()) lineage.tail = tail->second;
+  return lineage;
+}
+
+bool extract_topic_lineage(const storage::StorageBackend& backend,
+                           const std::string& topic, TopicLineage* out) {
+  NodeLineage node;
+  if (!read_node_lineage(backend, &node)) return false;
+  *out = pick_topic_lineage(node, topic);
   return true;
 }
 

@@ -24,9 +24,13 @@
 // (storage/snapshot.h), its WAL tail as standard CRC-framed WAL records, and
 // the destination rebuilds the topic by literally running the PR 3 recovery
 // machinery (ProxyPersistence::recover) over a scratch backend holding the
-// two shipped blobs. Storage faults during any durable step are absorbed by
-// deterministic retry/backoff (sim-time, no wall clock); exhausting the
-// attempts before the flip aborts the migration, which is always safe.
+// two shipped blobs, then folds it into its own WAL as one kAdopt record
+// (ProxyPersistence::adopt). Every step costs the moved topic, not the
+// node: a source's lineage is decoded once (read_node_lineage) and each
+// moved topic picked from it. Storage faults during any durable step are
+// absorbed by deterministic retry/backoff (sim-time, no wall clock);
+// exhausting the attempts before the flip aborts the migration, which is
+// always safe.
 //
 // This header is fleet-agnostic: the elastic fleet (elastic_fleet.h) drives
 // the protocol; everything here is the journal, the resume rule and the
@@ -53,7 +57,7 @@ enum class MigrationStage : std::uint8_t {
   kPlanned = 0,   // the move is journaled; nothing happened yet
   kQuiesced = 1,  // the source holds the topic's traffic (outage-style)
   kShipped = 2,   // image + WAL tail durable on the destination backend
-  kReplayed = 3,  // destination rebuilt the topic and checkpointed it
+  kReplayed = 3,  // destination rebuilt the topic and folded it into its WAL
   kFlipped = 4,   // THE commit: ownership changed hands
   kDrained = 5,   // held traffic applied on the destination
   kDone = 6,      // shipped blobs cleaned up; terminal
@@ -172,8 +176,8 @@ struct MigrationConfig {
   SimDuration ship_latency = 400 * kMillisecond;
   /// The destination's recovery replay of the shipped lineage.
   SimDuration replay_latency = 150 * kMillisecond;
-  /// The destination's re-base checkpoint folding the topic into its own
-  /// snapshot lineage (required before the flip — see DESIGN.md §11).
+  /// The destination's fold of the topic into its own WAL (one synced
+  /// kAdopt record, required before the flip — see DESIGN.md §11).
   SimDuration checkpoint_latency = 200 * kMillisecond;
   /// A crashed party's restart, charged to every migration it interrupts.
   SimDuration restart_delay = 2 * kSecond;
@@ -198,13 +202,39 @@ struct TopicLineage {
   bool has_image = false;
   /// Source WAL records folded into `image` (0 without a snapshot).
   std::uint64_t watermark = 0;
-  /// The topic's records at indices >= watermark, in log order.
+  /// The topic's records at indices >= watermark, in log order. For a
+  /// topic that moved onto the source since that snapshot this includes its
+  /// kAdopt record, which on replay replaces the (stale or missing) image
+  /// and every record before it.
   std::vector<storage::WalRecord> tail;
 };
 
-/// Extracts `topic`'s lineage from `backend` (the caller syncs the source
-/// WAL first so the tail is complete). False when the backend's lineage is
-/// unusable (snapshot watermark beyond the log — fsck's unrecoverable case).
+/// A whole source backend's durable lineage, decoded once: the newest valid
+/// snapshot's per-topic images and every WAL record past its watermark,
+/// bucketed by topic. Picking a topic from it costs the topic, not the node.
+struct NodeLineage {
+  /// Source WAL records folded into `images` (0 without a snapshot).
+  std::uint64_t watermark = 0;
+  std::map<std::string, core::TopicSnapshot> images;
+  /// Per topic, its records at indices >= watermark, in log order.
+  std::map<std::string, std::vector<storage::WalRecord>> tails;
+};
+
+/// Decodes `backend`'s lineage. False when it is unusable (snapshot
+/// watermark beyond the log — fsck's unrecoverable case).
+///
+/// The caller reads between simulator events, when the whole log is in the
+/// backend and durable: node WALs sync every record under the default
+/// PersistenceConfig, and group commit flushes and syncs after every event.
+bool read_node_lineage(const storage::StorageBackend& backend,
+                       NodeLineage* out);
+
+/// `topic`'s share of a node lineage.
+TopicLineage pick_topic_lineage(const NodeLineage& node,
+                                const std::string& topic);
+
+/// Extracts `topic`'s lineage from `backend`: read_node_lineage, then
+/// pick_topic_lineage.
 bool extract_topic_lineage(const storage::StorageBackend& backend,
                            const std::string& topic, TopicLineage* out);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -170,6 +171,26 @@ bool ProxyPersistence::snapshot_now() {
     }
   }
   return true;
+}
+
+bool ProxyPersistence::adopt(const std::string& topic) {
+  if (attached_ == nullptr) return false;
+  const core::TopicState* state = attached_->topic(topic);
+  WAIF_CHECK(state != nullptr);
+  WalRecord wal;
+  wal.type = WalRecordType::kAdopt;
+  wal.topic = topic;
+  wal.at = sim_.now();
+  wal.adopted = std::make_shared<const core::TopicSnapshot>(state->snapshot());
+  append(wal);
+  const bool durable = writer_.sync();
+  if (durable) {
+    ++stats_.syncs;
+  } else {
+    ++stats_.failed_syncs;
+  }
+  if (record_hook_) record_hook_(writer_.record_count());
+  return durable;
 }
 
 void ProxyPersistence::on_enqueue(const std::string& topic,
@@ -598,6 +619,15 @@ void replay_shed(TopicImage& image, const WalRecord& record) {
   image.erase_everywhere(id);
 }
 
+void replay_adopt(TopicImage& image, const WalRecord& record) {
+  // The topic arrived whole: its image replaces whatever an older snapshot
+  // or earlier records held for it. The replay inputs stay the config's.
+  TopicImage adopted = image_from_snapshot(*record.adopted);
+  adopted.window = image.window;
+  adopted.online_mode = image.online_mode;
+  image = std::move(adopted);
+}
+
 void replay_requeue(TopicImage& image, const WalRecord& record) {
   const std::uint64_t id = record.event.id.value;
   image.forwarded.erase(id);
@@ -672,6 +702,9 @@ RecoveryResult ProxyPersistence::recover(
         break;
       case WalRecordType::kShed:
         replay_shed(image, record);
+        break;
+      case WalRecordType::kAdopt:
+        replay_adopt(image, record);
         break;
       case WalRecordType::kAck:
         break;

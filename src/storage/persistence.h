@@ -136,6 +136,15 @@ class ProxyPersistence final : public core::ProxyJournal,
   /// failed sync aborted it. No-op (false) while detached.
   bool snapshot_now();
 
+  /// Folds `topic`, just restored into the attached proxy from elsewhere (a
+  /// live migration), into this log: one kAdopt record carrying its whole
+  /// image, synced at once. Recovery replays it as "replace this topic's
+  /// image", so the topic survives a crash without a full-node checkpoint.
+  /// False when the sync failed (the record may still land with a later
+  /// sync, and replaying it twice is harmless). No-op (false) while
+  /// detached.
+  bool adopt(const std::string& topic);
+
   /// The device ACKed `event` (reliable channel): journal it. The log keeps
   /// the confirmation; recovery counts every forward as delivered anyway.
   void on_device_ack(const pubsub::NotificationPtr& event);

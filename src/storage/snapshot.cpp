@@ -75,6 +75,8 @@ bool decode_events(ByteReader& reader,
   return !reader.failed();
 }
 
+}  // namespace
+
 void encode_topic(ByteWriter& writer, const core::TopicSnapshot& topic) {
   encode_events(writer, topic.outgoing);
   encode_events(writer, topic.prefetch);
@@ -139,8 +141,6 @@ bool decode_topic(ByteReader& reader, core::TopicSnapshot* topic) {
   topic->forwarded_today = reader.u64();
   return !reader.failed();
 }
-
-}  // namespace
 
 std::string snapshot_blob_name(std::uint64_t seq) {
   char buffer[32];

@@ -19,6 +19,7 @@
 #include "common/time.h"
 #include "core/snapshot.h"
 #include "storage/backend.h"
+#include "storage/codec.h"
 
 namespace waif::storage {
 
@@ -43,6 +44,11 @@ std::string snapshot_blob_name(std::uint64_t seq);
 bool parse_snapshot_name(const std::string& name, std::uint64_t* seq);
 
 std::vector<std::uint8_t> encode_snapshot(const ProxySnapshot& snapshot);
+
+/// The per-topic image codec of the snapshot body, shared with the WAL's
+/// kAdopt record. decode_topic is false on a short or malformed image.
+void encode_topic(ByteWriter& writer, const core::TopicSnapshot& topic);
+bool decode_topic(ByteReader& reader, core::TopicSnapshot* topic);
 
 /// Decodes a snapshot blob. False on any damage (bad magic, torn frame,
 /// CRC mismatch, malformed body) — the caller falls back to an older one.

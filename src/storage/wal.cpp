@@ -1,6 +1,10 @@
 #include "storage/wal.h"
 
+#include <memory>
 #include <utility>
+
+#include "common/check.h"
+#include "storage/snapshot.h"
 
 namespace waif::storage {
 
@@ -73,6 +77,10 @@ void encode_payload_into(ByteWriter& writer, const WalRecord& record) {
     case WalRecordType::kAck:
       writer.u64(record.id);
       break;
+    case WalRecordType::kAdopt:
+      WAIF_CHECK(record.adopted != nullptr);
+      encode_topic(writer, *record.adopted);
+      break;
   }
 }
 
@@ -136,6 +144,12 @@ bool decode_payload(const std::vector<std::uint8_t>& payload,
     case WalRecordType::kAck:
       record->id = reader.u64();
       break;
+    case WalRecordType::kAdopt: {
+      auto adopted = std::make_shared<core::TopicSnapshot>();
+      if (!decode_topic(reader, adopted.get())) return false;
+      record->adopted = std::move(adopted);
+      break;
+    }
     default:
       return false;
   }

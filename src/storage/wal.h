@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/time.h"
 #include "core/journal.h"
 #include "core/read_protocol.h"
+#include "core/snapshot.h"
 #include "pubsub/notification.h"
 #include "storage/backend.h"
 #include "storage/codec.h"
@@ -38,12 +40,20 @@ enum class WalRecordType : std::uint8_t {
   kRequeue = 6,  // the reliable channel handed an abandoned transfer back
   kAck = 7,      // the device ACKed a forwarded event (reliable channel)
   kShed = 8,     // an event dropped by the overload budget (core/overload.h)
+  kAdopt = 9,    // a topic moved in whole: its image replaces the log's
 };
 
 /// One WAL entry. A flat union-style struct: `type` says which fields are
 /// meaningful (the encoding only stores those).
 struct WalRecord {
   WalRecordType type = WalRecordType::kEnqueue;
+  // The one-byte fields sit together so a record carries no padding
+  // between them (a WAL read holds every decoded record at once).
+  core::JournalStage stage = core::JournalStage::kDropped;  // kEnqueue
+  bool fresh = false;                                       // kEnqueue
+  bool exp_tracked = false;                                 // kEnqueue
+  bool replicated = false;                                  // kForward
+  bool timer_fired = false;                                 // kExpire
   std::string topic;
   SimTime at = 0;
 
@@ -51,16 +61,10 @@ struct WalRecord {
   pubsub::Notification event;
 
   // kEnqueue
-  core::JournalStage stage = core::JournalStage::kDropped;
   SimTime release_at = 0;
-  bool fresh = false;
-  bool exp_tracked = false;
 
   // kEnqueue / kForward
   double rate_credit = 0.0;
-
-  // kForward
-  bool replicated = false;
 
   // kRead
   std::uint64_t request_id = 0;
@@ -76,8 +80,10 @@ struct WalRecord {
   // kExpire / kAck
   std::uint64_t id = 0;
 
-  // kExpire
-  bool timer_fired = false;
+  // kAdopt: the topic's whole image, in the snapshot's per-topic encoding.
+  // Shared and immutable, so every other record type carries one null
+  // pointer and copies of a decoded record share the image.
+  std::shared_ptr<const core::TopicSnapshot> adopted;
 };
 
 /// Shared notification codec (the snapshot blob uses the same encoding).

@@ -19,6 +19,8 @@
 #include "storage/backend.h"
 #include "storage/fault.h"
 #include "storage/persistence.h"
+#include "storage/snapshot.h"
+#include "storage/wal.h"
 
 namespace waif::experiments {
 namespace {
@@ -335,6 +337,136 @@ TEST(ShardMigrationTest, ExtractWithoutSnapshotShipsTheWholeLog) {
                                    &topic, &rebuilt));
   const core::TopicSnapshot live = proxy.topic("tA")->snapshot();
   EXPECT_EQ(encode_topic_image("tA", rebuilt), encode_topic_image("tA", live));
+}
+
+TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
+  // tA moves A -> B, B folds it into its log with adopt(), keeps serving it,
+  // and ships it on before B's next snapshot: B's only snapshot predates tA,
+  // so the lineage is image-less and the tail opens with the kAdopt record.
+  storage::PersistenceConfig manual;
+  manual.snapshot_interval = 0;
+  NullChannel channel;
+
+  sim::Simulator a_sim;
+  core::Proxy a(a_sim, channel, "a");
+  storage::MemBackend a_backend;
+  storage::ProxyPersistence a_persistence(a_sim, a_backend, manual);
+  a.add_topic("tA", online_config());
+  a_persistence.attach(a);
+  for (int i = 0; i < 6; ++i) {
+    const SimTime at = (10 + i) * kSecond;
+    const auto id = static_cast<std::uint64_t>(i + 1);
+    a_sim.schedule_at(at, [&a, id, at] {
+      a.on_notification(make_event(id, "tA", at));
+    });
+  }
+  a_sim.run();
+
+  sim::Simulator b_sim;
+  core::Proxy b(b_sim, channel, "b");
+  storage::MemBackend b_backend;
+  storage::ProxyPersistence b_persistence(b_sim, b_backend, manual);
+  b.add_topic("tB", online_config());
+  b_persistence.attach(b);
+  b_sim.schedule_at(5 * kSecond, [&b] {
+    b.on_notification(make_event(100, "tB", 5 * kSecond));
+  });
+  b_sim.run();
+  ASSERT_TRUE(b_persistence.snapshot_now());
+
+  // A -> B: ship, replay, fold.
+  TopicLineage from_a;
+  ASSERT_TRUE(extract_topic_lineage(a_backend, "tA", &from_a));
+  std::string topic;
+  core::TopicSnapshot rebuilt;
+  ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", from_a.image),
+                                   encode_wal_tail(from_a.tail),
+                                   from_a.tail.size(), online_config(), &topic,
+                                   &rebuilt));
+  b.add_topic("tA", online_config());
+  b.topic("tA")->restore(rebuilt);
+  ASSERT_TRUE(b_persistence.adopt("tA"));
+  for (int i = 0; i < 4; ++i) {
+    const SimTime at = (20 + i) * kSecond;
+    const auto id = static_cast<std::uint64_t>(i + 7);
+    b_sim.schedule_at(at, [&b, id, at] {
+      b.on_notification(make_event(id, "tA", at));
+    });
+  }
+  b_sim.run();
+
+  // B -> onward.
+  TopicLineage from_b;
+  ASSERT_TRUE(extract_topic_lineage(b_backend, "tA", &from_b));
+  EXPECT_FALSE(from_b.has_image);
+  EXPECT_GT(from_b.watermark, 0u);
+  ASSERT_GT(from_b.tail.size(), 1u);
+  EXPECT_EQ(from_b.tail.front().type, storage::WalRecordType::kAdopt);
+  ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", from_b.image),
+                                   encode_wal_tail(from_b.tail),
+                                   from_b.tail.size(), online_config(), &topic,
+                                   &rebuilt));
+  EXPECT_EQ(encode_topic_image("tA", rebuilt),
+            encode_topic_image("tA", b.topic("tA")->snapshot()));
+}
+
+TEST(ShardMigrationTest, NodeLineageBucketsTheLogPastTheNewestSnapshot) {
+  // One node read serves every topic moved off the node at one boundary.
+  // Each pick must hold exactly the newest snapshot's image of the topic
+  // and the topic's records past its watermark, in log order.
+  sim::Simulator sim;
+  NullChannel channel;
+  core::Proxy proxy(sim, channel, "source");
+  storage::MemBackend backend;
+  storage::PersistenceConfig config;
+  config.snapshot_interval = 8;
+  storage::ProxyPersistence persistence(sim, backend, config);
+  for (const char* topic : {"tA", "tB", "tC"}) {
+    proxy.add_topic(topic, online_config());
+  }
+  persistence.attach(proxy);
+  for (int i = 0; i < 21; ++i) {
+    const SimTime at = (i + 1) * kSecond;
+    const std::string topic = (i % 3 == 0) ? "tA" : (i % 3 == 1) ? "tB" : "tC";
+    const auto id = static_cast<std::uint64_t>(i + 1);
+    sim.schedule_at(at, [&proxy, id, topic, at] {
+      proxy.on_notification(make_event(id, topic, at));
+    });
+  }
+  sim.run();
+
+  storage::ProxySnapshot snapshot;
+  std::uint64_t seq = 0;
+  std::uint64_t damaged = 0;
+  ASSERT_TRUE(
+      storage::load_latest_snapshot(backend, &snapshot, &seq, &damaged));
+  const storage::WalReadResult wal = storage::read_wal(backend);
+  ASSERT_LT(snapshot.watermark, wal.records.size());
+
+  NodeLineage node;
+  ASSERT_TRUE(read_node_lineage(backend, &node));
+  EXPECT_EQ(node.watermark, snapshot.watermark);
+  for (const std::string topic : {"tA", "tB", "tC", "absent"}) {
+    core::TopicSnapshot image;
+    bool has_image = false;
+    for (const auto& [name, state] : snapshot.topics) {
+      if (name != topic) continue;
+      image = state;
+      has_image = true;
+    }
+    std::vector<storage::WalRecord> tail;
+    for (std::size_t i = snapshot.watermark; i < wal.records.size(); ++i) {
+      if (wal.records[i].topic == topic) tail.push_back(wal.records[i]);
+    }
+
+    const TopicLineage picked = pick_topic_lineage(node, topic);
+    EXPECT_EQ(picked.has_image, has_image) << topic;
+    EXPECT_EQ(picked.watermark, snapshot.watermark) << topic;
+    EXPECT_EQ(encode_topic_image(topic, picked.image),
+              encode_topic_image(topic, image))
+        << topic;
+    EXPECT_EQ(encode_wal_tail(picked.tail), encode_wal_tail(tail)) << topic;
+  }
 }
 
 // --- the open-breaker victim ------------------------------------------------

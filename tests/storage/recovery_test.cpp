@@ -10,14 +10,31 @@
 // instants, same ids. The remaining tests relax the sync policy and inject
 // storage faults, checking the documented bounded-loss and no-duplicate
 // guarantees instead of exact identity.
+//
+// The last group works on bare proxies: the kAdopt fold a live migration's
+// destination writes (ProxyPersistence::adopt) must bring the moved topic
+// back after a crash, win over an older image, and vanish when it never
+// became durable.
 #include "experiments/chaos_orchestrator.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/time.h"
+#include "core/channel.h"
+#include "core/forwarding_policy.h"
+#include "core/proxy.h"
 #include "experiments/chaos_schedule.h"
+#include "experiments/shard_migration.h"
+#include "sim/simulator.h"
+#include "storage/backend.h"
+#include "storage/fault.h"
+#include "storage/persistence.h"
+#include "storage/wal.h"
 
 namespace waif::experiments {
 namespace {
@@ -212,6 +229,186 @@ TEST(RecoveryRunner, ReliableChannelRecoveryTrustsOrRequeues) {
   EXPECT_GT(requeued.requeued, 0u);
   EXPECT_GT(requeued.total_read, 0u);
   EXPECT_TRUE(requeued.ok());
+}
+
+// --- the kAdopt fold ---------------------------------------------------------
+
+class NullChannel final : public core::DeviceChannel {
+ public:
+  bool link_up() const override { return true; }
+  bool deliver(const pubsub::NotificationPtr&) override { return true; }
+};
+
+core::TopicConfig online_config() {
+  core::TopicConfig config;
+  config.mode = core::DeliveryMode::kOnLine;
+  config.policy = core::PolicyConfig::online();
+  return config;
+}
+
+/// One proxy journaling to its own backend, checkpointing only on request.
+struct Node {
+  static storage::PersistenceConfig manual_snapshots() {
+    storage::PersistenceConfig config;
+    config.snapshot_interval = 0;
+    return config;
+  }
+
+  explicit Node(const std::string& name) : proxy(sim, channel, name) {
+    persistence.attach(proxy);
+  }
+
+  /// `count` notifications on `topic`, ids from `first_id`, one a second
+  /// from `from` on.
+  void publish(const std::string& topic, std::uint64_t first_id, int count,
+               SimTime from) {
+    for (int i = 0; i < count; ++i) {
+      const SimTime at = from + i * kSecond;
+      const std::uint64_t id = first_id + static_cast<std::uint64_t>(i);
+      sim.schedule_at(at, [this, topic, id, at] {
+        auto event = std::make_shared<pubsub::Notification>();
+        event->id = NotificationId{id};
+        event->topic = topic;
+        event->publisher = PublisherId{1};
+        event->rank = static_cast<double>(id % 4);
+        event->published_at = at;
+        proxy.on_notification(event);
+      });
+    }
+    sim.run();
+  }
+
+  /// Moves `topic` in with the live state `image`, as a migration's replay
+  /// does, then folds it into this node's log.
+  bool adopt(const std::string& topic, const core::TopicSnapshot& image) {
+    proxy.add_topic(topic, online_config());
+    proxy.topic(topic)->restore(image);
+    return persistence.adopt(topic);
+  }
+
+  std::vector<std::uint8_t> live_image(const std::string& topic) const {
+    return encode_topic_image(topic, proxy.topic(topic)->snapshot());
+  }
+
+  sim::Simulator sim;
+  NullChannel channel;
+  core::Proxy proxy;
+  storage::MemBackend backend;
+  storage::ProxyPersistence persistence{sim, backend, manual_snapshots()};
+};
+
+std::map<std::string, core::TopicConfig> configs_for(
+    std::initializer_list<const char*> topics) {
+  std::map<std::string, core::TopicConfig> configs;
+  for (const char* topic : topics) configs.emplace(topic, online_config());
+  return configs;
+}
+
+const core::TopicSnapshot* recovered(const storage::RecoveryResult& recovery,
+                                     const std::string& topic) {
+  for (const auto& [name, state] : recovery.state.topics) {
+    if (name == topic) return &state;
+  }
+  return nullptr;
+}
+
+/// tA grown on a node of its own, ready to move.
+core::TopicSnapshot grown_elsewhere() {
+  Node source("source");
+  source.proxy.add_topic("tA", online_config());
+  source.publish("tA", 1, 8, 10 * kSecond);
+  return source.proxy.topic("tA")->snapshot();
+}
+
+TEST(AdoptRecovery, AdoptedTopicSurvivesACrashByteForByte) {
+  Node dest("dest");
+  dest.proxy.add_topic("tB", online_config());
+  dest.publish("tB", 100, 4, 30 * kSecond);
+  ASSERT_TRUE(dest.adopt("tA", grown_elsewhere()));
+  dest.publish("tA", 9, 5, 40 * kSecond);
+
+  dest.backend.crash();
+  const storage::RecoveryResult recovery =
+      storage::ProxyPersistence::recover(dest.backend,
+                                         configs_for({"tA", "tB"}));
+  EXPECT_FALSE(recovery.from_snapshot);  // the log alone carries tA
+  const core::TopicSnapshot* tA = recovered(recovery, "tA");
+  ASSERT_NE(tA, nullptr);
+  EXPECT_EQ(encode_topic_image("tA", *tA), dest.live_image("tA"));
+  const core::TopicSnapshot* tB = recovered(recovery, "tB");
+  ASSERT_NE(tB, nullptr);
+  EXPECT_EQ(encode_topic_image("tB", *tB), dest.live_image("tB"));
+}
+
+TEST(AdoptRecovery, AdoptWinsOverAnOlderImageInTheSnapshot) {
+  // tA leaves its home node and comes back: the home snapshot still holds
+  // tA's image from before the move, and the log past it a few stale tA
+  // records. The adopt record must replace all of that.
+  Node home("home");
+  home.proxy.add_topic("tA", online_config());
+  home.proxy.add_topic("tB", online_config());
+  home.publish("tA", 1, 6, 10 * kSecond);
+  ASSERT_TRUE(home.persistence.snapshot_now());
+  home.publish("tA", 7, 2, 20 * kSecond);
+  const std::vector<std::uint8_t> stale = home.live_image("tA");
+
+  Node away("away");
+  away.proxy.add_topic("tA", online_config());
+  away.proxy.topic("tA")->restore(home.proxy.topic("tA")->snapshot());
+  home.proxy.remove_topic("tA");
+  away.publish("tA", 9, 5, 30 * kSecond);
+  home.publish("tB", 100, 3, 30 * kSecond);
+
+  ASSERT_TRUE(home.adopt("tA", away.proxy.topic("tA")->snapshot()));
+  ASSERT_NE(home.live_image("tA"), stale);
+
+  home.backend.crash();
+  const storage::RecoveryResult recovery =
+      storage::ProxyPersistence::recover(home.backend,
+                                         configs_for({"tA", "tB"}));
+  EXPECT_TRUE(recovery.from_snapshot);
+  const core::TopicSnapshot* tA = recovered(recovery, "tA");
+  ASSERT_NE(tA, nullptr);
+  EXPECT_EQ(encode_topic_image("tA", *tA), home.live_image("tA"));
+}
+
+TEST(AdoptRecovery, AdoptWhoseSyncFailedIsLostInTheCrash) {
+  Node dest("dest");
+  dest.proxy.add_topic("tB", online_config());
+  dest.publish("tB", 100, 4, 30 * kSecond);
+  const std::uint64_t durable_records = dest.persistence.record_count();
+
+  storage::StorageFaultConfig faults;
+  faults.fsync_failure_probability = 1.0;
+  storage::StorageFaultModel model(faults, /*seed=*/5);
+  dest.backend.set_fault_model(&model);
+  EXPECT_FALSE(dest.adopt("tA", grown_elsewhere()));
+  dest.backend.crash();  // no torn writes: the unsynced adopt vanishes whole
+  dest.backend.set_fault_model(nullptr);
+
+  const storage::RecoveryResult recovery =
+      storage::ProxyPersistence::recover(dest.backend, configs_for({"tB"}));
+  EXPECT_EQ(recovery.wal_records, durable_records);
+  EXPECT_EQ(recovered(recovery, "tA"), nullptr);
+}
+
+TEST(AdoptRecovery, TornAdoptFrameIsTruncatedAway) {
+  Node dest("dest");
+  dest.proxy.add_topic("tB", online_config());
+  dest.publish("tB", 100, 4, 30 * kSecond);
+  const std::uint64_t records = dest.persistence.record_count();
+  const std::size_t before = dest.backend.size(storage::kWalBlobName);
+  ASSERT_TRUE(dest.adopt("tA", grown_elsewhere()));
+  const std::size_t after = dest.backend.size(storage::kWalBlobName);
+  dest.backend.truncate(storage::kWalBlobName, before + (after - before) / 2);
+
+  const storage::RecoveryResult recovery =
+      storage::ProxyPersistence::recover(dest.backend, configs_for({"tB"}));
+  EXPECT_TRUE(recovery.torn_tail);
+  EXPECT_TRUE(recovery.repaired);
+  EXPECT_EQ(recovery.wal_records, records);
+  EXPECT_EQ(dest.backend.size(storage::kWalBlobName), before);
+  EXPECT_EQ(recovered(recovery, "tA"), nullptr);
 }
 
 }  // namespace

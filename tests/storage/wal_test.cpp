@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/journal.h"
+#include "core/snapshot.h"
 #include "storage/backend.h"
+#include "storage/snapshot.h"
 
 namespace waif::storage {
 namespace {
@@ -24,6 +27,12 @@ pubsub::Notification make_event(std::uint64_t id) {
   event.expires_at = 9000;
   event.payload = "payload";
   return event;
+}
+
+std::vector<std::uint8_t> topic_bytes(const core::TopicSnapshot& image) {
+  ByteWriter writer;
+  encode_topic(writer, image);
+  return writer.take();
 }
 
 TEST(Wal, EveryRecordTypeRoundTrips) {
@@ -91,11 +100,39 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   ack.id = 3;
   writer.append(ack);
 
-  EXPECT_EQ(writer.record_count(), 7u);
+  WalRecord shed;
+  shed.type = WalRecordType::kShed;
+  shed.topic = "t";
+  shed.at = 80;
+  shed.event = make_event(4);
+  writer.append(shed);
+
+  auto image = std::make_shared<core::TopicSnapshot>();
+  image->outgoing = {make_event(5)};
+  image->delayed = {{make_event(6), 700}};
+  image->history = {make_event(5), make_event(6)};
+  image->forwarded = {1, 2};
+  image->expiration_armed = {{6, 9000}};
+  image->seen_read_ids = {77};
+  image->old_reads.samples = {8.0};
+  image->old_reads.sum = 8.0;
+  image->read_times.last = 30.0;
+  image->queue_size_view = 2;
+  image->rate_credit = 0.5;
+  image->current_day = 1;
+  image->forwarded_today = 2;
+  WalRecord adopt;
+  adopt.type = WalRecordType::kAdopt;
+  adopt.topic = "t";
+  adopt.at = 90;
+  adopt.adopted = image;
+  writer.append(adopt);
+
+  EXPECT_EQ(writer.record_count(), 9u);
 
   const WalReadResult result = read_wal(backend, kWalBlobName);
   ASSERT_TRUE(result.clean());
-  ASSERT_EQ(result.records.size(), 7u);
+  ASSERT_EQ(result.records.size(), 9u);
 
   const WalRecord& e = result.records[0];
   EXPECT_EQ(e.type, WalRecordType::kEnqueue);
@@ -133,6 +170,19 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(result.records[5].event.id.value, 3u);
   EXPECT_EQ(result.records[6].type, WalRecordType::kAck);
   EXPECT_EQ(result.records[6].id, 3u);
+
+  const WalRecord& d = result.records[7];
+  EXPECT_EQ(d.type, WalRecordType::kShed);
+  EXPECT_EQ(d.at, 80);
+  EXPECT_EQ(d.event.id.value, 4u);
+  EXPECT_EQ(d.event.payload, "payload");
+
+  const WalRecord& a = result.records[8];
+  EXPECT_EQ(a.type, WalRecordType::kAdopt);
+  EXPECT_EQ(a.topic, "t");
+  EXPECT_EQ(a.at, 90);
+  ASSERT_NE(a.adopted, nullptr);
+  EXPECT_EQ(topic_bytes(*a.adopted), topic_bytes(*image));
 }
 
 TEST(Wal, TornTailStopsTheScanAtTheLastFullFrame) {
