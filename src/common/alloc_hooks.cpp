@@ -1,7 +1,7 @@
 // The counting allocator hook: replacement global operator new/delete that
 // report every heap allocation to common/alloc_stats.h.
 //
-// This TU is deliberately NOT part of waif_common — it is its own static
+// This TU is deliberately NOT part of waif_common — it is its own object
 // library (waif::alloc_hooks) so only binaries that opt in (the benches,
 // the allocation-regression tests) get the replaced operators. The
 // replacements forward to malloc/free, which keeps them compatible with the

@@ -56,9 +56,11 @@ enum class JournalStage : std::uint8_t {
   kDelay = 8,
 };
 
-/// One surviving NOTIFICATION (or READ-difference move), as journaled.
+/// One surviving NOTIFICATION (or READ-difference move), as journaled. The
+/// record lives only for the on_enqueue call: `event` is the queued
+/// notification itself, not a copy.
 struct EnqueueRecord {
-  pubsub::Notification event;
+  const pubsub::Notification& event;
   JournalStage stage = JournalStage::kDropped;
   /// Simulation instant of the mutation.
   SimTime at = 0;

@@ -121,14 +121,13 @@ void TopicState::handle_notification(const NotificationPtr& event) {
   }
   record_history(event);  // record all events
   if (journal_ != nullptr) {
-    EnqueueRecord record;
-    record.event = *event;
-    record.stage = placement.stage;
-    record.at = sim_.now();
-    record.release_at = placement.release_at;
-    record.fresh = !was_known;
-    record.exp_tracked = placement.exp_tracked;
-    record.rate_credit = rate_credit_;
+    const EnqueueRecord record{.event = *event,
+                               .stage = placement.stage,
+                               .at = sim_.now(),
+                               .release_at = placement.release_at,
+                               .fresh = !was_known,
+                               .exp_tracked = placement.exp_tracked,
+                               .rate_credit = rate_credit_};
     journal_->on_enqueue(topic_, record);
   }
   after_queue_growth();
@@ -313,11 +312,10 @@ std::vector<NotificationPtr> TopicState::handle_read(const ReadRequest& request)
     holding_.erase(event->id);
     outgoing_.insert(event);
     if (journal_ != nullptr) {
-      EnqueueRecord record;
-      record.event = *event;
-      record.stage = JournalStage::kReadDifference;
-      record.at = sim_.now();
-      record.rate_credit = rate_credit_;
+      const EnqueueRecord record{.event = *event,
+                                 .stage = JournalStage::kReadDifference,
+                                 .at = sim_.now(),
+                                 .rate_credit = rate_credit_};
       journal_->on_enqueue(topic_, record);
     }
   }
@@ -594,11 +592,10 @@ void TopicState::on_delay_elapsed(NotificationId id) {
   }
   prefetch_.insert(event);
   if (journal_ != nullptr) {
-    EnqueueRecord record;
-    record.event = *event;
-    record.stage = JournalStage::kDelayRelease;
-    record.at = sim_.now();
-    record.rate_credit = rate_credit_;
+    const EnqueueRecord record{.event = *event,
+                               .stage = JournalStage::kDelayRelease,
+                               .at = sim_.now(),
+                               .rate_credit = rate_credit_};
     journal_->on_enqueue(topic_, record);
   }
   after_queue_growth();

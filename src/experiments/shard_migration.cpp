@@ -202,16 +202,23 @@ bool read_node_lineage(const storage::StorageBackend& backend,
   const bool from_snapshot =
       load_latest_snapshot(backend, &snapshot, &seq, &damaged);
 
-  storage::WalReadResult wal = read_wal(backend);
+  const std::uint64_t watermark = from_snapshot ? snapshot.watermark : 0;
+  std::uint64_t index = 0;
+  const storage::WalScan wal =
+      scan_wal(backend, storage::kWalBlobName,
+               [out, watermark, &index](storage::WalRecord& record) {
+                 if (index++ < watermark) return;
+                 out->tails[record.topic].push_back(std::move(record));
+               });
+  if (watermark > wal.record_count) {
+    *out = NodeLineage{};
+    return false;
+  }
+  out->watermark = watermark;
   if (from_snapshot) {
-    if (snapshot.watermark > wal.records.size()) return false;
-    out->watermark = snapshot.watermark;
     for (auto& [name, image] : snapshot.topics) {
       out->images.emplace(std::move(name), std::move(image));
     }
-  }
-  for (std::size_t i = out->watermark; i < wal.records.size(); ++i) {
-    out->tails[wal.records[i].topic].push_back(std::move(wal.records[i]));
   }
   return true;
 }
@@ -274,8 +281,8 @@ bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
   scratch.write(storage::kWalBlobName, tail_bytes);
 
   // Guard against a short or damaged tail before recovery repairs it away.
-  const storage::WalReadResult tail = storage::read_wal(scratch);
-  if (!tail.clean() || tail.records.size() != expected_tail) return false;
+  const storage::WalScan tail = storage::scan_wal(scratch);
+  if (!tail.clean() || tail.record_count != expected_tail) return false;
 
   std::map<std::string, core::TopicConfig> configs;
   configs.emplace(*topic, config);

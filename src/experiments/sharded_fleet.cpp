@@ -98,24 +98,26 @@ class FanoutChannel final : public core::DeviceChannel {
 /// (the record is staged before deliver() runs; block boundaries flush).
 class ForwardJournal final : public core::ProxyJournal {
  public:
-  explicit ForwardJournal(storage::WalWriter& wal) : wal_(wal) {}
+  explicit ForwardJournal(storage::WalWriter& wal) : wal_(wal) {
+    record_.type = storage::WalRecordType::kForward;
+  }
 
   bool on_forward(const std::string& topic,
                   const pubsub::NotificationPtr& event, SimTime at,
                   double rate_credit, bool replicated) override {
-    storage::WalRecord record;
-    record.type = storage::WalRecordType::kForward;
-    record.topic = topic;
-    record.at = at;
-    record.event = *event;
-    record.rate_credit = rate_credit;
-    record.replicated = replicated;
-    wal_.append(record);
+    // Assigned into the kept capacity of one reused record.
+    record_.topic = topic;
+    record_.at = at;
+    record_.event = *event;
+    record_.rate_credit = rate_credit;
+    record_.replicated = replicated;
+    wal_.append(record_);
     return true;
   }
 
  private:
   storage::WalWriter& wal_;
+  storage::WalRecord record_;
 };
 
 void fold(std::uint64_t& h, std::uint64_t v) {

@@ -9,30 +9,55 @@ namespace waif::storage {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8: tables[0] is the bytewise table of the reflected IEEE
+// polynomial, and tables[k][b] is the CRC of byte b followed by k zero
+// bytes. One step folds eight input bytes with eight independent lookups
+// instead of a chain of eight dependent ones; the result is the same CRC.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load, byte by byte: the same value on any host, and
+/// compilers fold it into one load where the host is little-endian.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -44,15 +69,19 @@ std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
 void ByteWriter::u8(std::uint8_t value) { bytes_.push_back(value); }
 
 void ByteWriter::u32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFFu));
+  std::uint8_t le[4];
+  for (std::size_t i = 0; i < sizeof(le); ++i) {
+    le[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
+  raw(le, sizeof(le));
 }
 
 void ByteWriter::u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFFu));
+  std::uint8_t le[8];
+  for (std::size_t i = 0; i < sizeof(le); ++i) {
+    le[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
+  raw(le, sizeof(le));
 }
 
 void ByteWriter::i64(std::int64_t value) {

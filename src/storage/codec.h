@@ -13,7 +13,8 @@
 
 namespace waif::storage {
 
-/// CRC32 (IEEE, reflected 0xEDB88320) of `data`.
+/// CRC32 (IEEE, reflected 0xEDB88320) of `data`, eight bytes per step
+/// (slice-by-8) with a bytewise tail.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 std::uint32_t crc32(const std::vector<std::uint8_t>& data);
 
@@ -21,6 +22,8 @@ std::uint32_t crc32(const std::vector<std::uint8_t>& data);
 class ByteWriter {
  public:
   void u8(std::uint8_t value);
+  /// Multi-byte fields are laid out in a local array and appended in one
+  /// step (one capacity check), not byte by byte.
   void u32(std::uint32_t value);
   void u64(std::uint64_t value);
   void i64(std::int64_t value);

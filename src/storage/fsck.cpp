@@ -10,8 +10,10 @@ namespace waif::storage {
 FsckReport waif_fsck(const StorageBackend& backend) {
   FsckReport report;
 
-  const WalReadResult wal = read_wal(backend);
-  report.wal_records = wal.records.size();
+  // Counts frames without keeping them: a fleet shard's log holds tens of
+  // thousands of records.
+  const WalScan wal = scan_wal(backend);
+  report.wal_records = wal.record_count;
   report.wal_valid_bytes = wal.valid_bytes;
   report.wal_total_bytes = wal.total_bytes;
   report.wal_torn_tail = wal.torn_tail;

@@ -193,31 +193,37 @@ bool ProxyPersistence::adopt(const std::string& topic) {
   return durable;
 }
 
+WalRecord& ProxyPersistence::start(WalRecordType type, const std::string& topic,
+                                   SimTime at) {
+  record_.type = type;
+  record_.topic = topic;
+  record_.at = at;
+  return record_;
+}
+
+void ProxyPersistence::commit() {
+  append(record_);
+  maybe_sync();
+  maybe_request_snapshot();
+  if (record_hook_) record_hook_(writer_.record_count());
+}
+
 void ProxyPersistence::on_enqueue(const std::string& topic,
                                   const core::EnqueueRecord& record) {
-  WalRecord wal;
-  wal.type = WalRecordType::kEnqueue;
-  wal.topic = topic;
-  wal.at = record.at;
+  WalRecord& wal = start(WalRecordType::kEnqueue, topic, record.at);
   wal.event = record.event;
   wal.stage = record.stage;
   wal.release_at = record.release_at;
   wal.fresh = record.fresh;
   wal.exp_tracked = record.exp_tracked;
   wal.rate_credit = record.rate_credit;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  commit();
 }
 
 bool ProxyPersistence::on_forward(const std::string& topic,
                                   const NotificationPtr& event, SimTime at,
                                   double rate_credit, bool replicated) {
-  WalRecord wal;
-  wal.type = WalRecordType::kForward;
-  wal.topic = topic;
-  wal.at = at;
+  WalRecord& wal = start(WalRecordType::kForward, topic, at);
   wal.event = *event;
   wal.replicated = replicated;
   wal.rate_credit = rate_credit;
@@ -248,86 +254,47 @@ bool ProxyPersistence::on_forward(const std::string& topic,
 void ProxyPersistence::on_read(const std::string& topic,
                                std::uint64_t request_id, int n,
                                std::size_t queue_size, SimTime at) {
-  WalRecord wal;
-  wal.type = WalRecordType::kRead;
-  wal.topic = topic;
-  wal.at = at;
+  WalRecord& wal = start(WalRecordType::kRead, topic, at);
   wal.request_id = request_id;
   wal.n = n;
   wal.queue_size = queue_size;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  commit();
 }
 
 void ProxyPersistence::on_sync(const std::string& topic, std::size_t queue_size,
                                std::uint64_t sync_id,
                                const std::vector<core::ReadRecord>& offline_reads,
                                SimTime at) {
-  WalRecord wal;
-  wal.type = WalRecordType::kSync;
-  wal.topic = topic;
-  wal.at = at;
+  WalRecord& wal = start(WalRecordType::kSync, topic, at);
   wal.queue_size = queue_size;
   wal.sync_id = sync_id;
   wal.offline_reads = offline_reads;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  commit();
 }
 
 void ProxyPersistence::on_expire(const std::string& topic, NotificationId id,
                                  bool timer_fired, SimTime at) {
-  WalRecord wal;
-  wal.type = WalRecordType::kExpire;
-  wal.topic = topic;
-  wal.at = at;
+  WalRecord& wal = start(WalRecordType::kExpire, topic, at);
   wal.id = id.value;
   wal.timer_fired = timer_fired;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  commit();
 }
 
 void ProxyPersistence::on_requeue(const std::string& topic,
                                   const NotificationPtr& event, SimTime at) {
-  WalRecord wal;
-  wal.type = WalRecordType::kRequeue;
-  wal.topic = topic;
-  wal.at = at;
-  wal.event = *event;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  start(WalRecordType::kRequeue, topic, at).event = *event;
+  commit();
 }
 
 void ProxyPersistence::on_shed(const std::string& topic,
                                const NotificationPtr& event, SimTime at) {
-  WalRecord wal;
-  wal.type = WalRecordType::kShed;
-  wal.topic = topic;
-  wal.at = at;
-  wal.event = *event;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  start(WalRecordType::kShed, topic, at).event = *event;
+  commit();
 }
 
 void ProxyPersistence::on_device_ack(const NotificationPtr& event) {
-  WalRecord wal;
-  wal.type = WalRecordType::kAck;
-  wal.topic = event->topic;
-  wal.at = sim_.now();
-  wal.id = event->id.value;
-  append(wal);
-  maybe_sync();
-  maybe_request_snapshot();
-  if (record_hook_) record_hook_(writer_.record_count());
+  start(WalRecordType::kAck, event->topic, sim_.now()).id = event->id.value;
+  commit();
 }
 
 void ProxyPersistence::on_promoted(core::Proxy& active) {
@@ -652,16 +619,6 @@ RecoveryResult ProxyPersistence::recover(
       load_latest_snapshot(backend, &base, &seq, &result.damaged_snapshots);
   if (result.from_snapshot) result.snapshot_seq = seq;
 
-  WalReadResult wal = read_wal(backend);
-  result.wal_records = wal.records.size();
-  result.crc_failures = wal.crc_failures;
-  result.torn_tail = wal.torn_tail;
-  if (!wal.clean()) {
-    // Repair: everything past the last valid frame is noise from the crash.
-    backend.truncate(kWalBlobName, wal.valid_bytes);
-    result.repaired = true;
-  }
-
   // Start from the snapshot image (or empty), then fold in the tail.
   std::map<std::string, TopicImage> images;
   for (const auto& [name, topic] : base.topics) {
@@ -673,13 +630,14 @@ RecoveryResult ProxyPersistence::recover(
     image.online_mode = config.mode == core::DeliveryMode::kOnLine;
   }
 
+  // Replay straight from the scan: the log is never held as records.
   const std::uint64_t watermark =
       result.from_snapshot ? base.watermark : 0;
-  WAIF_CHECK(watermark <= wal.records.size());
-  for (std::size_t i = watermark; i < wal.records.size(); ++i) {
-    const WalRecord& record = wal.records[i];
+  std::uint64_t index = 0;
+  const WalScan wal = scan_wal(backend, kWalBlobName, [&](WalRecord& record) {
+    if (index++ < watermark) return;
     // ACKs journal device confirmations; the image does not depend on them.
-    if (record.type == WalRecordType::kAck) continue;
+    if (record.type == WalRecordType::kAck) return;
     TopicImage& image = images[record.topic];
     switch (record.type) {
       case WalRecordType::kEnqueue:
@@ -710,9 +668,18 @@ RecoveryResult ProxyPersistence::recover(
         break;
     }
     ++result.replayed;
+  });
+  WAIF_CHECK(watermark <= wal.record_count);
+  result.wal_records = wal.record_count;
+  result.crc_failures = wal.crc_failures;
+  result.torn_tail = wal.torn_tail;
+  if (!wal.clean()) {
+    // Repair: everything past the last valid frame is noise from the crash.
+    backend.truncate(kWalBlobName, wal.valid_bytes);
+    result.repaired = true;
   }
 
-  result.state.watermark = wal.records.size();
+  result.state.watermark = wal.record_count;
   result.state.taken_at = base.taken_at;
   result.state.has_channel = base.has_channel;
   result.state.channel = base.channel;

@@ -199,8 +199,13 @@ class ProxyPersistence final : public core::ProxyJournal,
   static void restore_into(core::Proxy& proxy, const RecoveryResult& recovery);
 
  private:
-  /// Appends one record and runs the sync/snapshot/hook policy chain.
+  /// Appends one record (no sync, snapshot or record hook).
   void append(const WalRecord& record);
+  /// Begins a hook's record in record_: sets the type, topic and instant;
+  /// the hook fills the type's other fields.
+  WalRecord& start(WalRecordType type, const std::string& topic, SimTime at);
+  /// Appends record_ and runs the sync/snapshot/hook policy chain.
+  void commit();
   void maybe_sync();
   void maybe_request_snapshot();
   /// Group commit: the end-of-event flush+fsync of the staged batch (runs
@@ -214,6 +219,10 @@ class ProxyPersistence final : public core::ProxyJournal,
   core::Proxy* attached_ = nullptr;
   core::ReliableDeviceChannel* channel_ = nullptr;
   std::function<void(std::uint64_t)> record_hook_;
+  // The one record every hook fills. Encoding reads only the fields of its
+  // type, so stale fields of other types are harmless, and assigning topics
+  // and notifications into its kept capacity does not allocate.
+  WalRecord record_;
   std::uint64_t last_snapshot_watermark_ = 0;
   std::uint64_t next_snapshot_seq_ = 1;
   bool snapshot_pending_ = false;

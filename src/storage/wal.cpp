@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -86,9 +87,9 @@ void encode_payload_into(ByteWriter& writer, const WalRecord& record) {
 
 /// Decodes one payload. False when the payload is malformed (unknown type,
 /// short fields, trailing bytes) — treated exactly like a CRC failure.
-bool decode_payload(const std::vector<std::uint8_t>& payload,
+bool decode_payload(const std::uint8_t* payload, std::size_t length,
                     WalRecord* record) {
-  ByteReader reader(payload);
+  ByteReader reader(payload, length);
   record->type = static_cast<WalRecordType>(reader.u8());
   record->topic = reader.str();
   record->at = reader.i64();
@@ -207,41 +208,51 @@ bool WalWriter::sync() {
   return true;
 }
 
-WalReadResult read_wal(const StorageBackend& backend, const std::string& blob) {
-  WalReadResult result;
+WalScan scan_wal(const StorageBackend& backend, const std::string& blob,
+                 const std::function<void(WalRecord&)>& visit) {
+  WalScan scan;
   std::vector<std::uint8_t> bytes;
-  if (!backend.read(blob, &bytes)) return result;
-  result.total_bytes = bytes.size();
+  if (!backend.read(blob, &bytes)) return scan;
+  scan.total_bytes = bytes.size();
 
   std::size_t offset = 0;
   constexpr std::size_t kHeaderBytes = 8;
   while (offset < bytes.size()) {
     if (bytes.size() - offset < kHeaderBytes) {
-      result.torn_tail = true;
+      scan.torn_tail = true;
       break;
     }
     ByteReader header(bytes.data() + offset, kHeaderBytes);
     const std::uint32_t length = header.u32();
     const std::uint32_t expected_crc = header.u32();
     if (bytes.size() - offset - kHeaderBytes < length) {
-      result.torn_tail = true;
+      scan.torn_tail = true;
       break;
     }
     const std::uint8_t* payload = bytes.data() + offset + kHeaderBytes;
     if (crc32(payload, length) != expected_crc) {
-      ++result.crc_failures;
+      ++scan.crc_failures;
       break;
     }
     WalRecord record;
-    if (!decode_payload(std::vector<std::uint8_t>(payload, payload + length),
-                        &record)) {
-      ++result.crc_failures;
+    if (!decode_payload(payload, length, &record)) {
+      ++scan.crc_failures;
       break;
     }
-    result.records.push_back(std::move(record));
+    if (visit) visit(record);
+    ++scan.record_count;
     offset += kHeaderBytes + length;
-    result.valid_bytes = offset;
+    scan.valid_bytes = offset;
   }
+  return scan;
+}
+
+WalReadResult read_wal(const StorageBackend& backend, const std::string& blob) {
+  WalReadResult result;
+  static_cast<WalScan&>(result) =
+      scan_wal(backend, blob, [&result](WalRecord& record) {
+        result.records.push_back(std::move(record));
+      });
   return result;
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -163,13 +164,16 @@ class WalWriter {
   ByteWriter staging_;
 };
 
-struct WalReadResult {
-  std::vector<WalRecord> records;
+/// What a front-to-back scan of a WAL blob found.
+struct WalScan {
+  /// Valid frames, each CRC-checked and decoded.
+  std::uint64_t record_count = 0;
   /// Bytes covered by valid frames — the repair truncation point.
   std::size_t valid_bytes = 0;
   /// Total blob size (valid_bytes < total_bytes means a damaged tail).
   std::size_t total_bytes = 0;
-  /// Frames rejected by their CRC (bit flips; 0 or 1 — the scan stops).
+  /// Frames rejected by their CRC or as malformed (bit flips; 0 or 1 — the
+  /// scan stops).
   std::uint64_t crc_failures = 0;
   /// True when the blob ends in a partial frame (torn final write).
   bool torn_tail = false;
@@ -177,8 +181,19 @@ struct WalReadResult {
   bool clean() const { return valid_bytes == total_bytes; }
 };
 
-/// Scans the WAL blob, returning every record up to the first damage. A
-/// missing blob yields an empty, clean result.
+/// Scans the WAL blob up to the first damage, decoding every frame in place
+/// and handing each record to `visit` (which may move from it) in log
+/// order. An empty `visit` only counts. A missing blob is an empty, clean
+/// scan.
+WalScan scan_wal(const StorageBackend& backend,
+                 const std::string& blob = kWalBlobName,
+                 const std::function<void(WalRecord&)>& visit = {});
+
+struct WalReadResult : WalScan {
+  std::vector<WalRecord> records;
+};
+
+/// scan_wal collecting every record up to the first damage.
 WalReadResult read_wal(const StorageBackend& backend,
                        const std::string& blob = kWalBlobName);
 

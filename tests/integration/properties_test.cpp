@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -63,13 +64,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Invariants that hold for every policy across mixed conditions.
 // ---------------------------------------------------------------------------
 
-// gtest prints a PolicyCase's raw bytes into the test name. `kind` leads so
-// those bytes start with a fixed value, not with the address of `name`,
-// which moves whenever the binary's layout does.
 struct PolicyCase {
   PolicyKind kind;
   const char* name;
 };
+
+// Without this gtest prints the struct's raw bytes (padding and the `name`
+// pointer included) into every test's listed parameter, which then differs
+// from run to run.
+void PrintTo(const PolicyCase& policy_case, std::ostream* os) {
+  *os << policy_case.name;
+}
 
 class PolicyInvariantsTest
     : public ::testing::TestWithParam<std::tuple<PolicyCase, double>> {

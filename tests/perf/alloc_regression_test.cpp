@@ -1,24 +1,29 @@
-// Allocation-regression gate for the engine hot paths.
+// Allocation-regression gate for the engine and journal hot paths.
 //
 // Links waif::alloc_hooks (the counting operator new/delete) and asserts the
 // slab arenas actually deliver their contract: after warm-up, a steady-state
 // schedule/pop cycle on the event queue and an insert/erase cycle on the
-// ranked queues touch the global heap ZERO times per event. A future change
+// ranked queues touch the global heap ZERO times per event, and so do the
+// journal hooks per WAL record (bar the blob's own growth). A future change
 // that quietly reintroduces per-event allocations (a fatter callback that
 // spills out of std::function's inline buffer, a container swap that drops
 // the pool allocator) fails here, not in a profiler six months later.
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/alloc_stats.h"
 #include "common/rng.h"
+#include "core/journal.h"
 #include "pubsub/notification.h"
 #include "pubsub/ranked_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "storage/backend.h"
+#include "storage/persistence.h"
 
 namespace waif {
 namespace {
@@ -197,6 +202,57 @@ TEST(AllocRegressionTest, PoolArenaServesFixedSizeNodes) {
   EXPECT_EQ(arena->foreign_allocs(), 1u);
   EXPECT_GE(probe.allocations(), 1u);
   arena->deallocate(big, 1024);
+}
+
+// The journal: every proxy mutation passes through ProxyPersistence's hooks
+// on its way to the WAL, and a forward syncs before delivery, so a hook that
+// allocates taxes every notification several times over. Once the reused
+// record, the frame scratch and the backend map have warmed up, the only
+// allocations left are the WAL blob's geometric growth.
+TEST(AllocRegressionTest, JournalHooksAllocateNothing) {
+  sim::Simulator sim;
+  storage::MemBackend backend;
+  storage::PersistenceConfig config;
+  config.snapshot_interval = 0;
+  storage::ProxyPersistence persistence(sim, backend, config);
+
+  // Past libstdc++'s 15-byte small-string buffer, so any copy of the topic
+  // or the notification would allocate.
+  const std::string topic = "experiment/topic";
+  auto event = std::make_shared<pubsub::Notification>();
+  event->topic = topic;
+  event->publisher = PublisherId{1};
+  event->rank = 3.5;
+  event->expires_at = kDay;
+  event->payload = "a payload past the small-string buffer";
+  const pubsub::NotificationPtr live = event;
+
+  std::uint64_t next_id = 1;
+  const auto cycle = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      const auto at = static_cast<SimTime>(next_id);
+      event->id = NotificationId{next_id++};
+      persistence.on_enqueue(topic, core::EnqueueRecord{
+                                        .event = *live,
+                                        .stage = core::JournalStage::kPrefetch,
+                                        .at = at,
+                                        .fresh = true,
+                                        .exp_tracked = true,
+                                        .rate_credit = 0.5});
+      persistence.on_forward(topic, live, at, 0.5, /*replicated=*/false);
+      persistence.on_read(topic, /*request_id=*/next_id, /*n=*/8,
+                          /*queue_size=*/3, at);
+      persistence.on_expire(topic, live->id, /*timer_fired=*/true, at);
+    }
+  };
+
+  cycle(1000);
+  alloc_stats::AllocProbe probe;
+  cycle(2500);  // 10k records
+  EXPECT_EQ(persistence.record_count(), 14000u);
+  EXPECT_LE(probe.allocations(), 100u)
+      << "journal hooks hit the heap " << probe.allocations()
+      << " times in 10000 records";
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// The CRC32-framed write-ahead log: every record type round-trips, a torn
-// or corrupted tail stops the scan at the last valid frame, and the writer's
-// unsynced-window accounting matches what a crash can lose.
+// The CRC32-framed write-ahead log: every record type round-trips, its frame
+// bytes stay pinned, a torn or corrupted tail stops the scan at the last
+// valid frame, and the writer's unsynced-window accounting matches what a
+// crash can lose.
 #include "storage/wal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -35,9 +37,9 @@ std::vector<std::uint8_t> topic_bytes(const core::TopicSnapshot& image) {
   return writer.take();
 }
 
-TEST(Wal, EveryRecordTypeRoundTrips) {
-  MemBackend backend;
-  WalWriter writer(backend, kWalBlobName);
+/// One record of every WalRecordType, in type order.
+std::vector<WalRecord> one_record_of_each_type() {
+  std::vector<WalRecord> records;
 
   WalRecord enqueue;
   enqueue.type = WalRecordType::kEnqueue;
@@ -49,7 +51,7 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   enqueue.fresh = true;
   enqueue.exp_tracked = true;
   enqueue.rate_credit = 0.75;
-  writer.append(enqueue);
+  records.push_back(enqueue);
 
   WalRecord forward;
   forward.type = WalRecordType::kForward;
@@ -58,7 +60,7 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   forward.event = make_event(2);
   forward.replicated = true;
   forward.rate_credit = 1.5;
-  writer.append(forward);
+  records.push_back(forward);
 
   WalRecord read;
   read.type = WalRecordType::kRead;
@@ -67,7 +69,7 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   read.request_id = 77;
   read.n = 8;
   read.queue_size = 3;
-  writer.append(read);
+  records.push_back(read);
 
   WalRecord sync;
   sync.type = WalRecordType::kSync;
@@ -76,7 +78,7 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   sync.sync_id = 78;
   sync.queue_size = 2;
   sync.offline_reads = {{35, 8}, {38, 4}};
-  writer.append(sync);
+  records.push_back(sync);
 
   WalRecord expire;
   expire.type = WalRecordType::kExpire;
@@ -84,28 +86,28 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   expire.at = 50;
   expire.id = 2;
   expire.timer_fired = true;
-  writer.append(expire);
+  records.push_back(expire);
 
   WalRecord requeue;
   requeue.type = WalRecordType::kRequeue;
   requeue.topic = "t";
   requeue.at = 60;
   requeue.event = make_event(3);
-  writer.append(requeue);
+  records.push_back(requeue);
 
   WalRecord ack;
   ack.type = WalRecordType::kAck;
   ack.topic = "t";
   ack.at = 70;
   ack.id = 3;
-  writer.append(ack);
+  records.push_back(ack);
 
   WalRecord shed;
   shed.type = WalRecordType::kShed;
   shed.topic = "t";
   shed.at = 80;
   shed.event = make_event(4);
-  writer.append(shed);
+  records.push_back(shed);
 
   auto image = std::make_shared<core::TopicSnapshot>();
   image->outgoing = {make_event(5)};
@@ -126,8 +128,16 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   adopt.topic = "t";
   adopt.at = 90;
   adopt.adopted = image;
-  writer.append(adopt);
+  records.push_back(adopt);
 
+  return records;
+}
+
+TEST(Wal, EveryRecordTypeRoundTrips) {
+  MemBackend backend;
+  WalWriter writer(backend, kWalBlobName);
+  const std::vector<WalRecord> records = one_record_of_each_type();
+  for (const WalRecord& record : records) writer.append(record);
   EXPECT_EQ(writer.record_count(), 9u);
 
   const WalReadResult result = read_wal(backend, kWalBlobName);
@@ -182,7 +192,31 @@ TEST(Wal, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(a.topic, "t");
   EXPECT_EQ(a.at, 90);
   ASSERT_NE(a.adopted, nullptr);
-  EXPECT_EQ(topic_bytes(*a.adopted), topic_bytes(*image));
+  EXPECT_EQ(topic_bytes(*a.adopted), topic_bytes(*records[8].adopted));
+}
+
+// The on-disk format, pinned: the CRC32 of one whole frame of every record
+// type and of one small snapshot blob. A log or checkpoint written before a
+// codec or CRC change must replay after it, so none of these may move.
+TEST(Wal, FrameAndSnapshotBytesArePinned) {
+  const std::vector<WalRecord> records = one_record_of_each_type();
+  const std::uint32_t frame_crcs[] = {
+      0x1B5B6A93u, 0x3C5A644Cu, 0x8585F3A0u, 0x08DC2B7Bu, 0x4662F389u,
+      0x17ABA7ABu, 0x15C7F367u, 0xB3B0317Au, 0x34D3F96Du};
+  ASSERT_EQ(records.size(), std::size(frame_crcs));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(crc32(encode_wal_record(records[i])), frame_crcs[i])
+        << "record type " << static_cast<int>(records[i].type);
+  }
+
+  ProxySnapshot snapshot;
+  snapshot.watermark = 9;
+  snapshot.taken_at = 95;
+  snapshot.has_channel = true;
+  snapshot.channel.next_seq = 4;
+  snapshot.channel.seen = {1, 2, 3};
+  snapshot.topics.emplace_back("t", *records[8].adopted);
+  EXPECT_EQ(crc32(encode_snapshot(snapshot)), 0xBF061581u);
 }
 
 TEST(Wal, TornTailStopsTheScanAtTheLastFullFrame) {
@@ -234,6 +268,34 @@ TEST(Wal, CorruptedPayloadFailsTheCrc) {
   EXPECT_FALSE(result.clean());
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0].id, 1u);
+}
+
+// A frame whose CRC holds but whose payload does not decode is damage like a
+// bit flip, whether the scan keeps the records or only counts them.
+TEST(Wal, UndecodableFrameIsACrcFailureInEveryScan) {
+  MemBackend backend;
+  WalWriter writer(backend, kWalBlobName);
+  WalRecord record;
+  record.type = WalRecordType::kAck;
+  record.topic = "t";
+  writer.append(record);
+
+  const std::uint8_t payload[] = {0x7F};  // no such record type
+  ByteWriter frame;
+  frame.u32(sizeof(payload));
+  frame.u32(crc32(payload, sizeof(payload)));
+  frame.raw(payload, sizeof(payload));
+  backend.append(kWalBlobName, frame.bytes());
+
+  const WalScan counted = scan_wal(backend);
+  EXPECT_EQ(counted.record_count, 1u);
+  EXPECT_EQ(counted.crc_failures, 1u);
+  EXPECT_FALSE(counted.clean());
+
+  const WalReadResult read = read_wal(backend);
+  EXPECT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.crc_failures, 1u);
+  EXPECT_EQ(read.valid_bytes, counted.valid_bytes);
 }
 
 TEST(Wal, MissingBlobReadsAsEmpty) {
