@@ -13,7 +13,7 @@
 //     "events_fired": 1183744,         // sim::total_events_fired() delta
 //     "events_per_sec": 643339.1,      // events_fired / wall_seconds
 //     "alloc": { "counted": true, "allocations": 91, "bytes": 5824 },
-//     "metrics": { "calendar_vs_heap_speedup": 1.62, ... },  // bench-specific
+//     "metrics": { "engine_events_per_sec": 8.6e6, ... },  // bench-specific
 //     "sweeps": [ { "label": "main", "jobs": 56, "threads": 1,
 //                   "wall_seconds": 1.8, "task_seconds": 1.7,
 //                   "speedup": 0.97 } ]

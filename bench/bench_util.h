@@ -6,6 +6,7 @@
 // sequential-equivalent cost of the same jobs.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,11 +17,13 @@
 #include "bench_report.h"
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/rng.h"
 #include "common/time.h"
 #include "experiments/chaos_schedule.h"
 #include "experiments/parallel_runner.h"
 #include "experiments/runner.h"
 #include "metrics/table.h"
+#include "sim/simulator.h"
 #include "workload/scenario.h"
 
 namespace waif::bench {
@@ -79,6 +82,35 @@ inline void report_sweep(const experiments::ParallelRunner& runner,
 inline void emit(const metrics::Table& table, const std::string& expectation) {
   table.print(std::cout);
   std::cout << "\nPaper expectation: " << expectation << "\n" << std::endl;
+}
+
+/// The bare engine rate, in fired events per wall-clock second: 16
+/// self-rescheduling timers with a ~1 ms mean period (seed 42), timed from
+/// simulated 20 s to 140 s so the heap and the handle arena are warm and
+/// the steady state allocates nothing.
+inline double measure_engine_events_per_sec() {
+  sim::Simulator sim;
+  Rng rng(42);
+  struct Ticker {
+    sim::Simulator& sim;
+    Rng& rng;
+    void tick() {
+      sim.schedule_after(1 + static_cast<SimDuration>(rng.next_below(2000)),
+                         [this] { tick(); });
+    }
+  } ticker{sim, rng};
+  for (int i = 0; i < 16; ++i) {
+    sim.schedule_after(static_cast<SimDuration>(1 + rng.next_below(2000)),
+                       [&ticker] { ticker.tick(); });
+  }
+  sim.run_until(20'000'000);  // warm-up
+  const std::uint64_t fired_before = sim.fired_events();
+  const auto start = std::chrono::steady_clock::now();
+  sim.run_until(140'000'000);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  return static_cast<double>(sim.fired_events() - fired_before) / wall;
 }
 
 inline std::string fmt(const char* format, double value) {

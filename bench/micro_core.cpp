@@ -1,15 +1,12 @@
-// Google-benchmark micro-benchmarks of the data path: event queue (calendar
-// and the retired heap it replaced), ranked queue, broker fan-out, the
-// proxy's NOTIFICATION/READ handlers, and a full one-virtual-year paired
-// experiment.
+// Google-benchmark micro-benchmarks of the data path: event queue, ranked
+// queue, broker fan-out, the proxy's NOTIFICATION/READ handlers, and a full
+// one-virtual-year paired experiment.
 //
 // Unlike the figure benches, this binary has a custom main: after the
-// google-benchmark suite it runs four fixed headline measurements and emits
+// google-benchmark suite it runs three fixed headline measurements and emits
 // BENCH_micro_core.json (see bench_report.h) — the number the CI perf gate
 // compares against the committed baseline:
 //   - engine_events_per_sec: simulator timer churn end to end;
-//   - calendar_vs_heap_speedup: EventQueue racing ReferenceEventQueue
-//     through an identical schedule/pop stream;
 //   - ranked_queue_ops_per_sec: steady-state insert/erase/pop churn;
 //   - wal_group_commit_speedup: batched framing + group fsync vs the
 //     sync-every-record WAL.
@@ -21,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "core/channel.h"
 #include "core/proxy.h"
@@ -31,7 +28,6 @@
 #include "net/link.h"
 #include "pubsub/broker.h"
 #include "pubsub/publisher.h"
-#include "sim/reference_event_queue.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
 #include "storage/wal.h"
@@ -48,18 +44,14 @@ pubsub::NotificationPtr make_notification(std::uint64_t id, double rank) {
   return n;
 }
 
-// The two event-queue shapes, each run over both implementations so their
-// items/sec are directly comparable in the google-benchmark table:
-//   - bulk: build the whole population, then drain it (a heap's best case —
-//     tight sift loops, no steady state to exploit);
+// The two event-queue shapes:
+//   - bulk: build the whole population, then drain it;
 //   - steady churn: hold a fixed population and pop-one/schedule-one, the
-//     simulator's actual hot-path pattern and the calendar queue's O(1)
-//     regime.
-template <typename Queue>
-void run_queue_bulk(benchmark::State& state) {
+//     simulator's actual hot-path pattern.
+void BM_EventQueueBulkScheduleAndPop(benchmark::State& state) {
   const auto count = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    Queue queue;
+    sim::EventQueue queue;
     for (std::uint64_t i = 0; i < count; ++i) {
       queue.schedule(static_cast<SimTime>((i * 2654435761u) % 1000000), [] {});
     }
@@ -68,12 +60,12 @@ void run_queue_bulk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count));
 }
+BENCHMARK(BM_EventQueueBulkScheduleAndPop)->Arg(1024)->Arg(16384);
 
-template <typename Queue>
-void run_queue_steady_churn(benchmark::State& state) {
+void BM_EventQueueSteadyChurn(benchmark::State& state) {
   const auto count = static_cast<std::uint64_t>(state.range(0));
   Rng rng(7);
-  Queue queue;
+  sim::EventQueue queue;
   for (std::uint64_t i = 0; i < count; ++i) {
     queue.schedule(static_cast<SimTime>(rng.next_below(1'000'000)), [] {});
   }
@@ -84,26 +76,7 @@ void run_queue_steady_churn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_EventQueueBulkScheduleAndPop(benchmark::State& state) {
-  run_queue_bulk<sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueBulkScheduleAndPop)->Arg(1024)->Arg(16384);
-
-void BM_ReferenceHeapBulkScheduleAndPop(benchmark::State& state) {
-  run_queue_bulk<sim::ReferenceEventQueue>(state);
-}
-BENCHMARK(BM_ReferenceHeapBulkScheduleAndPop)->Arg(1024)->Arg(16384);
-
-void BM_EventQueueSteadyChurn(benchmark::State& state) {
-  run_queue_steady_churn<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueSteadyChurn)->Arg(1024)->Arg(16384);
-
-void BM_ReferenceHeapSteadyChurn(benchmark::State& state) {
-  run_queue_steady_churn<sim::ReferenceEventQueue>(state);
-}
-BENCHMARK(BM_ReferenceHeapSteadyChurn)->Arg(1024)->Arg(16384);
 
 void BM_RankedQueueInsertPop(benchmark::State& state) {
   const auto count = static_cast<std::uint64_t>(state.range(0));
@@ -214,67 +187,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// End-to-end simulator throughput: 16 self-rescheduling timers with a
-/// ~1 ms mean period, measured after the calendar has wrapped once (so
-/// bucket storage is warm and the steady state is allocation-free).
-double measure_engine_events_per_sec() {
-  sim::Simulator sim;
-  Rng rng(42);
-  struct Ticker {
-    sim::Simulator& sim;
-    Rng& rng;
-    std::uint64_t fired = 0;
-    void tick() {
-      ++fired;
-      sim.schedule_after(
-          1 + static_cast<SimDuration>(rng.next_below(2000)),
-          [this] { tick(); });
-    }
-  };
-  std::vector<std::unique_ptr<Ticker>> tickers;
-  for (int i = 0; i < 16; ++i) {
-    tickers.push_back(std::make_unique<Ticker>(Ticker{sim, rng}));
-    Ticker* t = tickers.back().get();
-    sim.schedule_after(static_cast<SimDuration>(1 + rng.next_below(2000)),
-                       [t] { t->tick(); });
-  }
-  sim.run_until(20'000'000);  // warm-up: one full calendar wrap
-  std::uint64_t fired = 0;
-  for (const auto& t : tickers) fired += t->fired;
-  const std::uint64_t fired_before = fired;
-  const auto start = std::chrono::steady_clock::now();
-  sim.run_until(140'000'000);
-  const double wall = seconds_since(start);
-  fired = 0;
-  for (const auto& t : tickers) fired += t->fired;
-  return static_cast<double>(fired - fired_before) / wall;
-}
-
-/// Raw queue race in the engine's hot-path shape: hold a 16Ki working set,
-/// pop the earliest, schedule a replacement. Both instantiations see the
-/// identical op stream (same Rng seed), warmed before timing so the
-/// calendar's geometry and the arenas have settled.
-template <typename Queue>
-double measure_queue_events_per_sec() {
-  constexpr std::uint64_t kWorkingSet = 16384;
-  constexpr std::uint64_t kWarmOps = 100000;
-  constexpr std::uint64_t kOps = 400000;
-  Rng rng(7);
-  Queue queue;
-  for (std::uint64_t i = 0; i < kWorkingSet; ++i) {
-    queue.schedule(static_cast<SimTime>(rng.next_below(1'000'000)), [] {});
-  }
-  const auto churn = [&queue, &rng] {
-    const SimTime now = queue.pop().time;
-    queue.schedule(now + 1 + static_cast<SimTime>(rng.next_below(2'000'000)),
-                   [] {});
-  };
-  for (std::uint64_t i = 0; i < kWarmOps; ++i) churn();
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) churn();
-  return static_cast<double>(kOps) / seconds_since(start);
-}
-
 /// Steady-state RankedQueue churn over a recycled working set (the proxy's
 /// per-topic pattern: bounded queue, high turnover).
 double measure_ranked_queue_ops_per_sec() {
@@ -353,19 +265,12 @@ int main(int argc, char** argv) {
   // The report window starts here, after the google-benchmark suite, so
   // events_per_sec and the alloc block describe the fixed headline runs.
   waif::bench::BenchReport report("micro_core");
-  const double engine = measure_engine_events_per_sec();
-  const double calendar =
-      measure_queue_events_per_sec<waif::sim::EventQueue>();
-  const double heap =
-      measure_queue_events_per_sec<waif::sim::ReferenceEventQueue>();
+  const double engine = waif::bench::measure_engine_events_per_sec();
   const double ranked = measure_ranked_queue_ops_per_sec();
   const double wal_grouped = measure_wal_records_per_sec(true);
   const double wal_per_record = measure_wal_records_per_sec(false);
 
   report.metric("engine_events_per_sec", engine);
-  report.metric("calendar_events_per_sec", calendar);
-  report.metric("heap_events_per_sec", heap);
-  report.metric("calendar_vs_heap_speedup", heap > 0.0 ? calendar / heap : 0.0);
   report.metric("ranked_queue_ops_per_sec", ranked);
   report.metric("wal_group_commit_records_per_sec", wal_grouped);
   report.metric("wal_per_record_records_per_sec", wal_per_record);
@@ -373,9 +278,9 @@ int main(int argc, char** argv) {
                 wal_per_record > 0.0 ? wal_grouped / wal_per_record : 0.0);
   report.write();
 
-  std::printf("sweep: engine %.3g events/s — calendar/heap %.2fx, "
-              "ranked queue %.3g ops/s, wal group-commit %.2fx\n",
-              engine, heap > 0.0 ? calendar / heap : 0.0, ranked,
+  std::printf("sweep: engine %.3g events/s, ranked queue %.3g ops/s, "
+              "wal group-commit %.2fx\n",
+              engine, ranked,
               wal_per_record > 0.0 ? wal_grouped / wal_per_record : 0.0);
   return 0;
 }

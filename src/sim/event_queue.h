@@ -3,20 +3,16 @@
 // Events scheduled for the same instant fire in scheduling order (a strictly
 // increasing sequence number breaks ties), which makes runs deterministic.
 // Cancellation is lazy: a handle flips a shared flag and the entry is skipped
-// when it reaches the top of its bucket — O(1) cancel, no heap surgery.
+// when it reaches the top of the heap — O(1) cancel, no heap surgery. A
+// cancelled entry keeps its slot until its own time comes up, which in the
+// simulator's workloads costs at most a few percent over the live population.
 //
-// Internally this is a calendar queue (Brown 1988) tuned for the simulator's
-// access pattern: a power-of-two array of time buckets, each bucket a small
-// binary heap ordered by (time, seq). schedule() drops an entry into the
-// bucket of its time slice in O(1) (plus an O(log b) sift inside a bucket
-// that is rarely more than a couple of entries deep); pop() walks the bucket
-// calendar from a monotone cursor and pays O(1) amortized at high event
-// rates. Because every bucket is itself ordered by exactly the comparator
-// the old global binary heap used, the pop order is structurally identical
-// to the heap's — (time, seq) lexicographic — for every interleaving of
-// schedule, cancel and pop; tests/sim/calendar_queue_diff_test.cpp proves
-// this differentially against ReferenceEventQueue (the retired heap), and
-// the digest-checked benches prove it end to end.
+// Internally this is one binary min-heap in a std::vector, ordered by
+// (time, seq): schedule() and pop() are O(log n), and the vector keeps its
+// capacity when it drains, so a workload that empties and refills the queue
+// does not reallocate. tests/sim/event_queue_diff_test.cpp drives it in
+// lockstep with ReferenceEventQueue (a plain std::priority_queue oracle), and
+// the digest-checked benches check the pop order end to end.
 //
 // Handle states are carved from a free-list arena (common/pool_allocator.h)
 // shared with the out-standing handles, so a steady-state schedule/pop cycle
@@ -56,7 +52,7 @@ class EventHandle {
     bool cancelled = false;
     bool fired = false;
     // Live-event counter shared with the owning queue; keeps size() exact
-    // even though cancelled entries are removed from the calendar lazily.
+    // even though cancelled entries are removed from the heap lazily.
     std::shared_ptr<std::size_t> live;
   };
   explicit EventHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
@@ -64,7 +60,7 @@ class EventHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Calendar queue of (time, seq) -> callback.
+/// Min-heap of (time, seq) -> callback.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -93,10 +89,6 @@ class EventQueue {
   /// Drops every scheduled event.
   void clear();
 
-  /// Calendar geometry, exposed for the white-box perf tests.
-  std::size_t bucket_count() const { return buckets_.size(); }
-  int bucket_shift() const { return shift_; }
-
  private:
   struct Entry {
     SimTime time;
@@ -104,39 +96,20 @@ class EventQueue {
     Callback fn;
     std::shared_ptr<EventHandle::State> state;
   };
-  /// Heap order: the comparator of the retired global binary heap. With
-  /// std::push_heap/pop_heap ("max" heap by Later) the bucket front is the
-  /// earliest (time, seq) — identical pop order to the old implementation.
+  /// With std::push_heap/pop_heap ("max" heap by Later) the front is the
+  /// earliest (time, seq).
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
-  using Bucket = std::vector<Entry>;
 
-  /// Order-preserving map of SimTime onto unsigned keys (INT64_MIN -> 0).
-  static std::uint64_t biased(SimTime t) {
-    return static_cast<std::uint64_t>(t) + (std::uint64_t{1} << 63);
-  }
-  std::uint64_t key_of(SimTime t) const { return biased(t) >> shift_; }
+  /// Discards cancelled entries at the front of the heap.
+  void skim();
 
-  /// Discards cancelled entries at the front of `bucket`.
-  void skim(Bucket& bucket);
-  /// Index of the bucket whose front is the earliest live event; advances
-  /// the cursor to that event's key. Pre: !empty().
-  std::size_t find_min_bucket();
-  /// Rebuilds the calendar with `bucket_count` buckets and a bucket width
-  /// re-estimated from the live population.
-  void rebuild(std::size_t bucket_count);
-  void maybe_resize();
-
-  std::vector<Bucket> buckets_;
-  int shift_;                    // bucket width = 2^shift_ microseconds
-  std::uint64_t cursor_key_;     // <= key of every live entry
-  std::size_t entries_ = 0;      // stored entries, including cancelled ones
+  std::vector<Entry> heap_;  // includes cancelled entries not yet skimmed
   std::uint64_t next_seq_ = 0;
-  std::uint64_t fallback_scans_ = 0;  // full-calendar scans since rebuild
   std::shared_ptr<std::size_t> live_;
   std::shared_ptr<PoolArena> state_arena_;
 };

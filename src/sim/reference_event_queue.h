@@ -1,12 +1,11 @@
-// The retired std::priority_queue implementation of the event queue, kept
-// verbatim as the correctness oracle for the calendar queue.
+// A plain std::priority_queue implementation of the event queue, kept as the
+// correctness oracle for sim::EventQueue.
 //
-// tests/sim/calendar_queue_diff_test.cpp drives randomized seeded
-// interleavings of schedule/cancel/pop through both queues and asserts
-// identical pop order and cancel semantics; bench/micro_core.cpp races the
-// two so BENCH_micro_core.json carries the measured speedup. Keep this in
-// lockstep with the EventQueue API, but do NOT "optimize" it — its value is
-// being the obviously correct O(log n) baseline.
+// tests/sim/event_queue_diff_test.cpp drives randomized seeded interleavings
+// of schedule/cancel/pop through both queues and asserts identical pop order
+// and cancel semantics. Keep this in lockstep with the EventQueue API, but do
+// NOT "optimize" it — its value is being the obviously correct O(log n)
+// baseline.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +45,7 @@ class ReferenceEventHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Min-heap of (time, seq) -> callback; the pre-calendar EventQueue.
+/// Min-heap of (time, seq) -> callback; same contract as EventQueue.
 class ReferenceEventQueue {
  public:
   using Callback = std::function<void()>;

@@ -16,9 +16,9 @@
 
 namespace waif::sim {
 
-/// Events fired across every Simulator this process has *destroyed* plus
-/// flush_events_fired() calls — the denominator of the BENCH_*.json
-/// events-per-second figures. Thread-safe.
+/// Events fired across every Simulator this process has destroyed (each
+/// folds its count in from its destructor) — the denominator of the
+/// BENCH_*.json events-per-second figures. Thread-safe.
 std::uint64_t total_events_fired();
 
 class Simulator {

@@ -2,12 +2,13 @@
 //
 // Links waif::alloc_hooks (the counting operator new/delete) and asserts the
 // slab arenas actually deliver their contract: after warm-up, a steady-state
-// schedule/pop cycle on the event queue and an insert/erase cycle on the
-// ranked queues touch the global heap ZERO times per event, and so do the
-// journal hooks per WAL record (bar the blob's own growth). A future change
-// that quietly reintroduces per-event allocations (a fatter callback that
-// spills out of std::function's inline buffer, a container swap that drops
-// the pool allocator) fails here, not in a profiler six months later.
+// or drain-and-refill schedule/pop cycle on the event queue and an
+// insert/erase cycle on the ranked queues touch the global heap ZERO times
+// per event, and so do the journal hooks per WAL record (bar the blob's own
+// growth). A future change that quietly reintroduces per-event allocations
+// (a fatter callback that spills out of std::function's inline buffer, a
+// container swap that drops the pool allocator) fails here, not in a
+// profiler six months later.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,10 +61,9 @@ TEST(AllocRegressionTest, EventQueueSteadyStateAllocatesNothing) {
     queue.schedule(static_cast<SimTime>(rng.next_below(5000)),
                    [&fired] { ++fired; });
   }
-  // Warm-up must cover one full calendar wrap (bucket_count * bucket_width of
-  // simulated time) so every bucket's entry vector has reached its standing
-  // capacity; with ~2.5ms mean advance per cycle that is ~7k cycles per
-  // 2^20us bucket — 150k cycles sweeps the 16-bucket wheel twice over.
+  // Warm-up lets the heap vector and the handle-state arena reach their
+  // standing capacity before the measured window opens — first-touch growth
+  // is real allocation.
   cycle(150000);
 
   alloc_stats::AllocProbe probe;
@@ -104,6 +104,40 @@ TEST(AllocRegressionTest, EventQueueCancelPathAllocatesNothing) {
   EXPECT_EQ(probe.allocations(), 0u);
 }
 
+// Drain and refill: a replayed trace schedules its whole population up front
+// and then runs the queue dry, over and over. Once the first cycles have
+// grown the heap vector and the handle-state arena to the population, a
+// drained queue keeps both, so refilling it must not allocate.
+TEST(AllocRegressionTest, EventQueueDrainAndRefillAllocatesNothing) {
+  constexpr int kPopulation = 4096;
+  sim::EventQueue queue;
+  Rng rng(11);
+  SimTime clock = 0;
+  std::uint64_t fired = 0;
+
+  const auto cycle = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      for (int j = 0; j < kPopulation; ++j) {
+        queue.schedule(
+            clock + 1 + static_cast<SimTime>(rng.next_below(1'000'000)),
+            [&fired] { ++fired; });
+      }
+      while (!queue.empty()) {
+        clock = queue.next_time();
+        queue.pop().fn();
+      }
+    }
+  };
+
+  cycle(4);
+  alloc_stats::AllocProbe probe;
+  cycle(4);
+  EXPECT_EQ(probe.allocations(), 0u)
+      << "drain-and-refill hit the heap " << probe.allocations()
+      << " times in 4 cycles of " << kPopulation << " events";
+  EXPECT_EQ(fired, 8u * kPopulation);
+}
+
 // Self-rescheduling timers — the standing workload every proxy sustains. The
 // rescheduling lambda captures only `this` so it stays inside std::function's
 // inline buffer; a fatter capture that spilled to the heap is precisely the
@@ -128,8 +162,8 @@ TEST(AllocRegressionTest, SimulatorTimerChurnAllocatesNothing) {
     sim.schedule_after(static_cast<SimDuration>(rng.next_below(1000)),
                        [&ticker] { ticker.tick(); });
   }
-  // One full calendar wrap of warm-up (16 buckets x 2^20us) so every bucket
-  // vector holds its standing capacity before the measured window opens.
+  // Warm-up: the heap vector and the handle-state arena reach their standing
+  // capacity before the measured window opens.
   sim.run_until(20'000'000);
 
   alloc_stats::AllocProbe probe;

@@ -68,7 +68,9 @@ TEST(WalGroupCommit, StagedLogIsByteIdenticalToPerRecordLog) {
     ASSERT_TRUE(per_record.sync());
     grouped.append(record);
     // Flush in batches of varying size: after 1, 3, 6, 10... records.
-    if ((i * (i + 1) / 2) % 8 == 0) ASSERT_TRUE(grouped.sync());
+    if ((i * (i + 1) / 2) % 8 == 0) {
+      ASSERT_TRUE(grouped.sync());
+    }
   }
   ASSERT_TRUE(grouped.sync());
 

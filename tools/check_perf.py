@@ -18,8 +18,8 @@ allowed fraction, or when an absolute ceiling is exceeded:
         --ceiling rss_bytes_per_device_50k_s11=2048
 
 Without --gate, the gated metric is metrics.engine_events_per_sec —
-end-to-end simulator timer churn, the number the calendar-queue/arena work
-is meant to move. --gate (repeatable) selects other metrics; a gate name is
+end-to-end simulator timer churn, the number the event-queue/arena work is
+meant to move. --gate (repeatable) selects other metrics; a gate name is
 looked up in "metrics" first, then among the top-level report fields, so
 --gate events_per_sec gates the report's headline rate. The remaining
 metrics are printed for the log but not gated: absolute numbers shift with
@@ -48,7 +48,6 @@ import sys
 DEFAULT_GATE = "engine_events_per_sec"
 REPORTED_METRICS = (
     "engine_events_per_sec",
-    "calendar_vs_heap_speedup",
     "ranked_queue_ops_per_sec",
     "wal_group_commit_speedup",
 )
