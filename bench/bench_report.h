@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/alloc_stats.h"
+#include "common/check.h"
 #include "common/resource.h"
 #include "experiments/parallel_runner.h"
 #include "sim/simulator.h"
@@ -81,8 +82,10 @@ class BenchReport {
     if (!written_) write();
   }
 
-  /// Records a bench-specific scalar under "metrics".
+  /// Records a bench-specific scalar under "metrics". A key may be recorded
+  /// once: JSON readers keep only the last of duplicate keys.
   void metric(const std::string& key, double value) {
+    for (const auto& entry : metrics_) WAIF_CHECK(entry.first != key);
     metrics_.emplace_back(key, value);
   }
 

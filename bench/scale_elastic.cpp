@@ -15,9 +15,13 @@
 //     per population row, gated as a floor against the committed baseline
 //     (CI smoke gates the 50k row; the 200k row is asserted when the
 //     committed report is regenerated);
-//   * migration_max_pause_ms_per_topic — the worst per-topic unavailability
-//     window (quiesce -> traffic flowing again), gated as an absolute
-//     ceiling: elasticity must never stall a topic for seconds.
+//   * migration_max_pause_ms_per_topic_<pop> — the worst per-topic
+//     unavailability window (quiesce -> traffic flowing again), gated as an
+//     absolute ceiling on the 50k row: elasticity must never stall a topic
+//     for seconds (`_mean_` alongside);
+//   * snapshot_bytes_<pop> — checkpoint blob bytes made durable over the
+//     resized run, every node incarnation summed (also a column of the
+//     counts table, so the --jobs diff covers it).
 //
 // --max-devices skips the larger rows (CI smoke runs --max-devices 50000;
 // the committed JSON is regenerated with the full 50k + 200k sweep).
@@ -87,8 +91,8 @@ int main(int argc, char** argv) {
       "8 -> 12 shards at 6h, back to 8 at 15h, every moved topic migrated "
       "live",
       "population / run",
-      {"deliveries", "drops", "drained", "wal_records", "migrations", "held",
-       "crashes"});
+      {"deliveries", "drops", "drained", "wal_records", "snapshot_bytes",
+       "migrations", "held", "crashes"});
   table.set_precision(0);
 
   for (const RowSpec& row : kRows) {
@@ -131,6 +135,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(resized.overflow_drops),
                    static_cast<double>(resized.drained),
                    static_cast<double>(resized.wal_records),
+                   static_cast<double>(resized.snapshot_bytes),
                    static_cast<double>(resized.migrations_done),
                    static_cast<double>(resized.held),
                    static_cast<double>(resized.crashes)});
@@ -138,7 +143,9 @@ int main(int argc, char** argv) {
                   {static_cast<double>(baseline.deliveries),
                    static_cast<double>(baseline.overflow_drops),
                    static_cast<double>(baseline.drained),
-                   static_cast<double>(baseline.wal_records), 0.0, 0.0, 0.0});
+                   static_cast<double>(baseline.wal_records),
+                   static_cast<double>(baseline.snapshot_bytes), 0.0, 0.0,
+                   0.0});
 
     // Deterministic output for the --jobs 1 vs 8 diff: the digests, the
     // migration totals, and the pause profile are all simulated-time facts.
@@ -171,13 +178,11 @@ int main(int argc, char** argv) {
                                             baseline.drained) /
                             fixed_wall
                       : 0.0);
-    // Pause is a simulated-time fact — identical across populations and
-    // worker counts — so the ceiling key stays unsuffixed.
-    report.metric("migration_max_pause_ms_per_topic",
+    report.metric("migration_max_pause_ms_per_topic" + suffix,
                   static_cast<double>(resized.max_pause) /
                       static_cast<double>(kMillisecond));
     report.metric(
-        "migration_mean_pause_ms_per_topic",
+        "migration_mean_pause_ms_per_topic" + suffix,
         resized.migrations_done > 0
             ? static_cast<double>(resized.total_pause) /
                   static_cast<double>(kMillisecond) /
@@ -185,6 +190,8 @@ int main(int argc, char** argv) {
             : 0.0);
     report.metric("migrations_done" + suffix,
                   static_cast<double>(resized.migrations_done));
+    report.metric("snapshot_bytes" + suffix,
+                  static_cast<double>(resized.snapshot_bytes));
   }
 
   bench::report_sweep(runner, report);

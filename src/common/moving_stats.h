@@ -49,6 +49,10 @@ class MovingAverage {
   void reset();
 
   std::size_t window() const { return window_; }
+  /// The retained samples, oldest first, and their running sum — what
+  /// snapshot() copies, for a caller that encodes them in place.
+  const std::deque<double>& samples() const { return samples_; }
+  double sum() const { return sum_; }
   AverageSnapshot snapshot() const;
   /// Replaces the retained samples with `state` (truncated to the window).
   void restore(const AverageSnapshot& state);
@@ -73,6 +77,8 @@ class IntervalAverage {
   void reset();
 
   std::size_t window() const { return diffs_.window(); }
+  const MovingAverage& diffs() const { return diffs_; }
+  const std::optional<double>& last() const { return last_; }
   IntervalSnapshot snapshot() const;
   void restore(const IntervalSnapshot& state);
 

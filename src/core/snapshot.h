@@ -32,6 +32,21 @@ struct ArmedExpiration {
   SimTime expires_at = 0;
 };
 
+/// The lists of a topic image, in the canonical order TopicState::write_image
+/// visits them and the storage codec lays them out (the moving averages and
+/// the scalars follow the last one).
+enum class ImageSection : std::uint8_t {
+  kOutgoing,   // events, rank order
+  kPrefetch,   // events, rank order
+  kHolding,    // events, rank order
+  kDelayed,    // delay-stage events with release instants, by id
+  kHistory,    // events, insertion (FIFO) order
+  kForwarded,  // ids, sorted
+  kArmed,      // armed expirations, by id
+  kSeenReads,  // ids, sorted
+  kSeenSyncs,  // ids, sorted
+};
+
 /// Full durable state of one TopicState (stats excluded — counters are
 /// observability, not behaviour; the day budget, which *is* behaviour, is
 /// included).

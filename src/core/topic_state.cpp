@@ -750,56 +750,80 @@ std::optional<double> TopicState::history_rank(NotificationId id) const {
 
 // ---------------------------------------------------------- snapshot/restore
 
+namespace {
+
+/// write_image sink that collects the walk into a TopicSnapshot.
+class SnapshotCollector {
+ public:
+  explicit SnapshotCollector(TopicSnapshot& snap) : snap_(snap) {}
+
+  std::vector<std::uint64_t>& scratch_ids() { return scratch_; }
+  void begin(ImageSection section, std::size_t count) {
+    events_ = events_of(section);
+    if (events_ != nullptr) events_->reserve(count);
+  }
+  void event(const pubsub::Notification& event) { events_->push_back(event); }
+  void delayed(const pubsub::Notification& event, SimTime release_at) {
+    snap_.delayed.push_back({event, release_at});
+  }
+  void armed(std::uint64_t id, SimTime expires_at) {
+    snap_.expiration_armed.push_back({id, expires_at});
+  }
+  void ids(ImageSection section, const std::vector<std::uint64_t>& sorted) {
+    if (section == ImageSection::kForwarded) {
+      snap_.forwarded = sorted;
+    } else if (section == ImageSection::kSeenReads) {
+      snap_.seen_read_ids = sorted;
+    } else {
+      snap_.seen_sync_ids = sorted;
+    }
+  }
+  void averages(const MovingAverage& old_reads,
+                const IntervalAverage& read_times,
+                const MovingAverage& exp_times,
+                const IntervalAverage& arrival_times) {
+    snap_.old_reads = old_reads.snapshot();
+    snap_.read_times = read_times.snapshot();
+    snap_.exp_times = exp_times.snapshot();
+    snap_.arrival_times = arrival_times.snapshot();
+  }
+  void scalars(std::uint64_t queue_size_view, double rate_credit,
+               std::int64_t current_day, std::uint64_t forwarded_today) {
+    snap_.queue_size_view = queue_size_view;
+    snap_.rate_credit = rate_credit;
+    snap_.current_day = current_day;
+    snap_.forwarded_today = forwarded_today;
+  }
+
+ private:
+  /// The snapshot's list for an event section; nullptr for the delay stage
+  /// and the armed timers, which arrive through their own calls.
+  std::vector<pubsub::Notification>* events_of(ImageSection section) {
+    switch (section) {
+      case ImageSection::kOutgoing:
+        return &snap_.outgoing;
+      case ImageSection::kPrefetch:
+        return &snap_.prefetch;
+      case ImageSection::kHolding:
+        return &snap_.holding;
+      case ImageSection::kHistory:
+        return &snap_.history;
+      default:
+        return nullptr;
+    }
+  }
+
+  TopicSnapshot& snap_;
+  std::vector<pubsub::Notification>* events_ = nullptr;
+  std::vector<std::uint64_t> scratch_;
+};
+
+}  // namespace
+
 TopicSnapshot TopicState::snapshot() const {
   TopicSnapshot snap;
-  const auto copy_queue = [](const RankedQueue& queue,
-                             std::vector<pubsub::Notification>& out) {
-    out.reserve(queue.size());
-    for (const NotificationPtr& event : queue) out.push_back(*event);
-  };
-  copy_queue(outgoing_, snap.outgoing);
-  copy_queue(prefetch_, snap.prefetch);
-  copy_queue(holding_, snap.holding);
-
-  snap.delayed.reserve(pending_delay_.size());
-  for (const auto& [id, delayed] : pending_delay_) {
-    snap.delayed.push_back({*delayed.event, delayed.release_at});
-  }
-  std::sort(snap.delayed.begin(), snap.delayed.end(),
-            [](const DelayedSnapshot& a, const DelayedSnapshot& b) {
-              return a.event.id.value < b.event.id.value;
-            });
-
-  snap.history.reserve(history_order_.size());
-  for (std::uint64_t id : history_order_) {
-    snap.history.push_back(*history_.at(id));
-  }
-
-  snap.forwarded.assign(forwarded_.begin(), forwarded_.end());
-  std::sort(snap.forwarded.begin(), snap.forwarded.end());
-
-  snap.expiration_armed.reserve(expiration_timers_.size());
-  for (const auto& [id, armed] : expiration_timers_) {
-    snap.expiration_armed.push_back({id, armed.expires_at});
-  }
-  std::sort(snap.expiration_armed.begin(), snap.expiration_armed.end(),
-            [](const ArmedExpiration& a, const ArmedExpiration& b) {
-              return a.id < b.id;
-            });
-
-  snap.seen_read_ids.assign(seen_read_ids_.begin(), seen_read_ids_.end());
-  std::sort(snap.seen_read_ids.begin(), snap.seen_read_ids.end());
-  snap.seen_sync_ids.assign(seen_sync_ids_.begin(), seen_sync_ids_.end());
-  std::sort(snap.seen_sync_ids.begin(), snap.seen_sync_ids.end());
-
-  snap.old_reads = old_reads_.snapshot();
-  snap.read_times = read_times_.snapshot();
-  snap.exp_times = exp_times_.snapshot();
-  snap.arrival_times = arrival_times_.snapshot();
-  snap.queue_size_view = queue_size_view_;
-  snap.rate_credit = rate_credit_;
-  snap.current_day = current_day_;
-  snap.forwarded_today = forwarded_today_;
+  SnapshotCollector collector(snap);
+  write_image(collector);
   return snap;
 }
 

@@ -16,11 +16,13 @@
 // try_forwarding()/expiration/delay timeouts are the auxiliary routines.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -126,8 +128,31 @@ class TopicState {
   /// queued. The proxy's global-budget enforcement calls this directly.
   bool shed_one();
 
-  /// Captures the full durable state (see core/snapshot.h).
+  /// Captures the full durable state (see core/snapshot.h): write_image
+  /// into a sink that collects a TopicSnapshot.
   TopicSnapshot snapshot() const;
+
+  /// Walks the full durable state in TopicSnapshot's canonical order, with no
+  /// copy of it: the one definition of that order, shared by snapshot() and
+  /// the storage layer's checkpoint encoder. `sink` provides
+  ///
+  ///   std::vector<std::uint64_t>& scratch_ids();  // lent for the sorts
+  ///   void begin(ImageSection section, std::size_t count);
+  ///   void event(const pubsub::Notification& event);
+  ///   void delayed(const pubsub::Notification& event, SimTime release_at);
+  ///   void armed(std::uint64_t id, SimTime expires_at);
+  ///   void ids(ImageSection section, const std::vector<std::uint64_t>& sorted);
+  ///   void averages(const MovingAverage& old_reads,
+  ///                 const IntervalAverage& read_times,
+  ///                 const MovingAverage& exp_times,
+  ///                 const IntervalAverage& arrival_times);
+  ///   void scalars(std::uint64_t queue_size_view, double rate_credit,
+  ///                std::int64_t current_day, std::uint64_t forwarded_today);
+  ///
+  /// Each event, delay and armed list opens with begin() and its count; each
+  /// id list arrives whole and sorted, in the scratch vector.
+  template <typename Sink>
+  void write_image(Sink& sink) const;
 
   /// Fills a freshly constructed TopicState from a snapshot: rebuilds the
   /// queues, history, averages and day budget, and re-arms the recorded
@@ -287,6 +312,11 @@ class TopicState {
   bool do_forward(const pubsub::NotificationPtr& event,
                   std::uint64_t TopicStats::* counter);
 
+  /// Refills `ids` with the keys of an id set or id-keyed map, sorted.
+  template <typename Container>
+  static void sorted_ids(const Container& container,
+                         std::vector<std::uint64_t>& ids);
+
   void record_history(const pubsub::NotificationPtr& event);
   bool known(NotificationId id) const { return history_.contains(id.value); }
   /// Latest rank the proxy has seen for a (possibly device-held) id.
@@ -336,5 +366,75 @@ class TopicState {
   ProxyJournal* journal_ = nullptr;
   TopicStats stats_;
 };
+
+template <typename Container>
+void TopicState::sorted_ids(const Container& container,
+                            std::vector<std::uint64_t>& ids) {
+  ids.clear();
+  for (const auto& entry : container) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(entry)>>) {
+      ids.push_back(entry);
+    } else {
+      ids.push_back(entry.first);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+}
+
+template <typename Sink>
+void TopicState::write_image(Sink& sink) const {
+  const auto queue = [&sink](ImageSection section, const RankedQueue& events) {
+    sink.begin(section, events.size());
+    for (const pubsub::NotificationPtr& event : events) sink.event(*event);
+  };
+  queue(ImageSection::kOutgoing, outgoing_);
+  queue(ImageSection::kPrefetch, prefetch_);
+  queue(ImageSection::kHolding, holding_);
+
+  std::vector<std::uint64_t>& ids = sink.scratch_ids();
+  sorted_ids(pending_delay_, ids);
+  sink.begin(ImageSection::kDelayed, ids.size());
+  for (std::uint64_t id : ids) {
+    const DelayedEvent& delayed = pending_delay_.at(id);
+    sink.delayed(*delayed.event, delayed.release_at);
+  }
+
+  // History in FIFO order, with the forwarded ids gathered in the same
+  // pass. Both walks are chains of cache misses, so the history lookups go a
+  // batch at a time with each event prefetched, and the forwarded set
+  // advances one node per lookup: the misses overlap instead of queueing
+  // behind each encode. The forwarded ids are sorted and written after.
+  ids.clear();
+  auto forwarded = forwarded_.begin();
+  sink.begin(ImageSection::kHistory, history_order_.size());
+  constexpr std::size_t kBatch = 16;
+  const pubsub::Notification* batch[kBatch] = {};
+  for (auto it = history_order_.begin(); it != history_order_.end();) {
+    std::size_t n = 0;
+    for (; n < kBatch && it != history_order_.end(); ++n, ++it) {
+      batch[n] = history_.at(*it).get();
+      __builtin_prefetch(batch[n]);
+      if (forwarded != forwarded_.end()) ids.push_back(*forwarded++);
+    }
+    for (std::size_t i = 0; i < n; ++i) sink.event(*batch[i]);
+  }
+  ids.insert(ids.end(), forwarded, forwarded_.end());
+  std::sort(ids.begin(), ids.end());
+  sink.ids(ImageSection::kForwarded, ids);
+
+  sorted_ids(expiration_timers_, ids);
+  sink.begin(ImageSection::kArmed, ids.size());
+  for (std::uint64_t id : ids) {
+    sink.armed(id, expiration_timers_.at(id).expires_at);
+  }
+
+  sorted_ids(seen_read_ids_, ids);
+  sink.ids(ImageSection::kSeenReads, ids);
+  sorted_ids(seen_sync_ids_, ids);
+  sink.ids(ImageSection::kSeenSyncs, ids);
+
+  sink.averages(old_reads_, read_times_, exp_times_, arrival_times_);
+  sink.scalars(queue_size_view_, rate_credit_, current_day_, forwarded_today_);
+}
 
 }  // namespace waif::core

@@ -97,7 +97,8 @@ struct AutoscalerConfig {
   std::size_t token_refill_checkpoints = 6;
 
   /// Charged per estimated moved topic — the measured migration pause
-  /// profile (BENCH_scale_elastic.json: migration_max_pause_ms_per_topic).
+  /// profile (BENCH_scale_elastic.json:
+  /// migration_max_pause_ms_per_topic_<pop>).
   SimDuration pause_per_topic = 1250 * kMillisecond;
   /// Total pause the controller may charge over a run; 0 = unbounded.
   SimDuration pause_budget = 0;

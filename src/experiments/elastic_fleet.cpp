@@ -642,10 +642,16 @@ class ElasticRun {
     ++resizes_applied_;
   }
 
+  /// Folds one node incarnation's durability counters into the run totals.
+  void add_durability_totals(const storage::PersistenceStats& stats) {
+    wal_records_total_ += stats.records;
+    snapshots_total_ += stats.snapshots;
+    snapshot_bytes_total_ += stats.snapshot_bytes;
+  }
+
   void retire_node(Node& node) {
     source_lineage_.erase(node.shard);
-    wal_records_total_ += node.persistence->stats().records;
-    snapshots_total_ += node.persistence->stats().snapshots;
+    add_durability_totals(node.persistence->stats());
     node.persistence->detach();
     WAIF_CHECK(node.owned.empty());
     // Every carried event belongs to a topic the node owns, and migrate()
@@ -813,8 +819,7 @@ class ElasticRun {
     Node& node = *nodes_[shard];
     source_lineage_.erase(shard);  // the crash may cut its log
     ++crashes_;
-    wal_records_total_ += node.persistence->stats().records;
-    snapshots_total_ += node.persistence->stats().snapshots;
+    add_durability_totals(node.persistence->stats());
     node.persistence->detach();
     node.backend.crash();
     node.owned.clear();
@@ -1137,12 +1142,12 @@ class ElasticRun {
       out.seq_violations += rows_[t].seq_violations;
     }
     for (const auto& node : nodes_) {
-      wal_records_total_ += node->persistence->stats().records;
-      snapshots_total_ += node->persistence->stats().snapshots;
+      add_durability_totals(node->persistence->stats());
       out.lineage.push_back(storage::wal_lineage(node->backend));
     }
     out.wal_records = wal_records_total_;
     out.snapshots = snapshots_total_;
+    out.snapshot_bytes = snapshot_bytes_total_;
     out.migrations = migrations_;
     out.migrations_done = migrations_done_;
     out.migrations_rolled_back = migrations_rolled_back_;
@@ -1234,6 +1239,7 @@ class ElasticRun {
   std::uint64_t checks_ = 0;
   std::uint64_t wal_records_total_ = 0;
   std::uint64_t snapshots_total_ = 0;
+  std::uint64_t snapshot_bytes_total_ = 0;
   std::uint64_t reported_seq_violations_ = 0;
   SimDuration max_pause_ = 0;
   SimDuration total_pause_ = 0;

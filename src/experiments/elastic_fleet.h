@@ -220,6 +220,7 @@ struct ElasticOutcome {
   // retired nodes included).
   std::uint64_t wal_records = 0;
   std::uint64_t snapshots = 0;
+  std::uint64_t snapshot_bytes = 0;  // checkpoint blob bytes made durable
 
   // Migration protocol accounting.
   std::uint64_t migrations = 0;          // attempts journaled

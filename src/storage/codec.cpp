@@ -1,9 +1,8 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
-#include <utility>
 
 namespace waif::storage {
 
@@ -66,37 +65,8 @@ std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
   return crc32(data.data(), data.size());
 }
 
-void ByteWriter::u8(std::uint8_t value) { bytes_.push_back(value); }
-
-void ByteWriter::u32(std::uint32_t value) {
-  std::uint8_t le[4];
-  for (std::size_t i = 0; i < sizeof(le); ++i) {
-    le[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  raw(le, sizeof(le));
-}
-
-void ByteWriter::u64(std::uint64_t value) {
-  std::uint8_t le[8];
-  for (std::size_t i = 0; i < sizeof(le); ++i) {
-    le[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  raw(le, sizeof(le));
-}
-
-void ByteWriter::i64(std::int64_t value) {
-  u64(static_cast<std::uint64_t>(value));
-}
-
-void ByteWriter::f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-
-void ByteWriter::str(const std::string& value) {
-  u32(static_cast<std::uint32_t>(value.size()));
-  bytes_.insert(bytes_.end(), value.begin(), value.end());
-}
-
-void ByteWriter::raw(const std::uint8_t* data, std::size_t size) {
-  bytes_.insert(bytes_.end(), data, data + size);
+void ByteWriter::grow(std::size_t size) {
+  bytes_.reserve(std::max(2 * bytes_.capacity(), bytes_.size() + size));
 }
 
 bool ByteReader::take(std::size_t count, const std::uint8_t** out) {

@@ -132,19 +132,20 @@ bool ProxyPersistence::snapshot_now() {
   }
   ++stats_.syncs;
 
-  ProxySnapshot snapshot;
-  snapshot.watermark = writer_.record_count();
-  snapshot.taken_at = sim_.now();
-  if (channel_ != nullptr) {
-    snapshot.has_channel = true;
-    snapshot.channel = channel_->snapshot();
+  const std::uint64_t watermark = writer_.record_count();
+  const std::vector<std::string> names = attached_->topic_names();
+  core::ChannelSnapshot channel;
+  if (channel_ != nullptr) channel = channel_->snapshot();
+  begin_snapshot(checkpoint_, watermark, sim_.now(),
+                 channel_ != nullptr ? &channel : nullptr, names.size());
+  for (const std::string& name : names) {
+    checkpoint_.str(name);
+    attached_->topic(name)->write_image(image_encoder_);
   }
-  for (const std::string& name : attached_->topic_names()) {
-    snapshot.topics.emplace_back(name, attached_->topic(name)->snapshot());
-  }
+  finish_snapshot(checkpoint_);
 
   const std::string blob = snapshot_blob_name(next_snapshot_seq_);
-  backend_.write(blob, encode_snapshot(snapshot));
+  backend_.write(blob, checkpoint_.bytes());
   if (!backend_.sync(blob)) {
     // A snapshot that may not survive a crash is worse than none: a torn
     // blob would be rejected at recovery anyway, so drop it now.
@@ -154,7 +155,8 @@ bool ProxyPersistence::snapshot_now() {
     return false;
   }
   ++stats_.snapshots;
-  last_snapshot_watermark_ = snapshot.watermark;
+  stats_.snapshot_bytes += checkpoint_.size();
+  last_snapshot_watermark_ = watermark;
   ++next_snapshot_seq_;
 
   // Prune all but the newest keep_snapshots checkpoints.

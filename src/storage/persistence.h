@@ -13,10 +13,11 @@
 //
 // Periodically (every `snapshot_interval` records) the full proxy image is
 // checkpointed so recovery replays only the WAL tail past the snapshot's
-// watermark. Snapshots are deferred to a fresh simulator event at the
-// current instant — never taken in the middle of a TopicState callback —
-// and the WAL is synced first so a snapshot can never cover records that
-// are not themselves durable.
+// watermark. The image is encoded straight from the live topics
+// (TopicState::write_image) into one reused buffer. Snapshots are deferred
+// to a fresh simulator event at the current instant — never taken in the
+// middle of a TopicState callback — and the WAL is synced first so a
+// snapshot can never cover records that are not themselves durable.
 //
 // recover() is the other half: load the newest valid snapshot, replay the
 // WAL tail through a pure-data mirror of TopicState's transition rules (the
@@ -77,6 +78,7 @@ struct PersistenceStats {
   std::uint64_t syncs = 0;            // successful WAL syncs
   std::uint64_t failed_syncs = 0;     // fsync failures (WAL or snapshot)
   std::uint64_t snapshots = 0;        // checkpoints made durable
+  std::uint64_t snapshot_bytes = 0;   // bytes of those checkpoint blobs
   std::uint64_t failed_snapshots = 0; // checkpoints aborted by a failed sync
   std::uint64_t forward_refusals = 0; // on_forward returned false
 };
@@ -223,6 +225,12 @@ class ProxyPersistence final : public core::ProxyJournal,
   // type, so stale fields of other types are harmless, and assigning topics
   // and notifications into its kept capacity does not allocate.
   WalRecord record_;
+  // The checkpoint blob under construction, encoded straight from the live
+  // topics. The buffer and the encoder's scratch ids keep their capacity
+  // across checkpoints, so a warm checkpoint allocates nothing per image
+  // byte.
+  ByteWriter checkpoint_;
+  TopicImageEncoder image_encoder_{checkpoint_};
   std::uint64_t last_snapshot_watermark_ = 0;
   std::uint64_t next_snapshot_seq_ = 1;
   bool snapshot_pending_ = false;

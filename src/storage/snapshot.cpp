@@ -1,6 +1,10 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <utility>
 
 #include "storage/codec.h"
@@ -11,11 +15,21 @@ namespace waif::storage {
 namespace {
 
 constexpr char kMagic[8] = {'W', 'A', 'I', 'F', 'S', 'N', 'P', '1'};
+/// The magic plus the [u32 length][u32 crc32] frame header.
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
 
-void encode_average(ByteWriter& writer, const AverageSnapshot& average) {
-  writer.u32(static_cast<std::uint32_t>(average.samples.size()));
-  for (double sample : average.samples) writer.f64(sample);
-  writer.f64(average.sum);
+/// A moving average's samples (any container of doubles, oldest first) and
+/// running sum, in one capacity step.
+template <typename Samples>
+void encode_average(ByteWriter& writer, const Samples& samples, double sum) {
+  std::uint8_t* out = writer.extend(4 + 8 * samples.size() + 8);
+  ByteWriter::store_le32(out, static_cast<std::uint32_t>(samples.size()));
+  out += 4;
+  for (double sample : samples) {
+    ByteWriter::store_le64(out, std::bit_cast<std::uint64_t>(sample));
+    out += 8;
+  }
+  ByteWriter::store_le64(out, std::bit_cast<std::uint64_t>(sum));
 }
 
 bool decode_average(ByteReader& reader, AverageSnapshot* average) {
@@ -29,10 +43,12 @@ bool decode_average(ByteReader& reader, AverageSnapshot* average) {
   return !reader.failed();
 }
 
-void encode_interval(ByteWriter& writer, const IntervalSnapshot& interval) {
-  encode_average(writer, interval.diffs);
-  writer.u8(interval.last.has_value() ? 1 : 0);
-  if (interval.last.has_value()) writer.f64(*interval.last);
+template <typename Samples>
+void encode_interval(ByteWriter& writer, const Samples& samples, double sum,
+                     const std::optional<double>& last) {
+  encode_average(writer, samples, sum);
+  writer.u8(last.has_value() ? 1 : 0);
+  if (last.has_value()) writer.f64(*last);
 }
 
 bool decode_interval(ByteReader& reader, IntervalSnapshot* interval) {
@@ -41,9 +57,15 @@ bool decode_interval(ByteReader& reader, IntervalSnapshot* interval) {
   return !reader.failed();
 }
 
+/// A u32 count, then the ids, in one capacity step.
 void encode_ids(ByteWriter& writer, const std::vector<std::uint64_t>& ids) {
-  writer.u32(static_cast<std::uint32_t>(ids.size()));
-  for (std::uint64_t id : ids) writer.u64(id);
+  std::uint8_t* out = writer.extend(4 + 8 * ids.size());
+  ByteWriter::store_le32(out, static_cast<std::uint32_t>(ids.size()));
+  out += 4;
+  for (std::uint64_t id : ids) {
+    ByteWriter::store_le64(out, id);
+    out += 8;
+  }
 }
 
 bool decode_ids(ByteReader& reader, std::vector<std::uint64_t>* ids) {
@@ -95,14 +117,52 @@ void encode_topic(ByteWriter& writer, const core::TopicSnapshot& topic) {
   }
   encode_ids(writer, topic.seen_read_ids);
   encode_ids(writer, topic.seen_sync_ids);
-  encode_average(writer, topic.old_reads);
-  encode_interval(writer, topic.read_times);
-  encode_average(writer, topic.exp_times);
-  encode_interval(writer, topic.arrival_times);
+  encode_average(writer, topic.old_reads.samples, topic.old_reads.sum);
+  encode_interval(writer, topic.read_times.diffs.samples,
+                  topic.read_times.diffs.sum, topic.read_times.last);
+  encode_average(writer, topic.exp_times.samples, topic.exp_times.sum);
+  encode_interval(writer, topic.arrival_times.diffs.samples,
+                  topic.arrival_times.diffs.sum, topic.arrival_times.last);
   writer.u64(topic.queue_size_view);
   writer.f64(topic.rate_credit);
   writer.i64(topic.current_day);
   writer.u64(topic.forwarded_today);
+}
+
+void TopicImageEncoder::event(const pubsub::Notification& event) {
+  encode_notification(out_, event);
+}
+
+void TopicImageEncoder::delayed(const pubsub::Notification& event,
+                                SimTime release_at) {
+  encode_notification(out_, event);
+  out_.i64(release_at);
+}
+
+void TopicImageEncoder::ids(core::ImageSection,
+                            const std::vector<std::uint64_t>& sorted) {
+  encode_ids(out_, sorted);
+}
+
+void TopicImageEncoder::averages(const MovingAverage& old_reads,
+                                 const IntervalAverage& read_times,
+                                 const MovingAverage& exp_times,
+                                 const IntervalAverage& arrival_times) {
+  encode_average(out_, old_reads.samples(), old_reads.sum());
+  encode_interval(out_, read_times.diffs().samples(), read_times.diffs().sum(),
+                  read_times.last());
+  encode_average(out_, exp_times.samples(), exp_times.sum());
+  encode_interval(out_, arrival_times.diffs().samples(),
+                  arrival_times.diffs().sum(), arrival_times.last());
+}
+
+void TopicImageEncoder::scalars(std::uint64_t queue_size_view,
+                                double rate_credit, std::int64_t current_day,
+                                std::uint64_t forwarded_today) {
+  out_.u64(queue_size_view);
+  out_.f64(rate_credit);
+  out_.i64(current_day);
+  out_.u64(forwarded_today);
 }
 
 bool decode_topic(ByteReader& reader, core::TopicSnapshot* topic) {
@@ -161,34 +221,45 @@ bool parse_snapshot_name(const std::string& name, std::uint64_t* seq) {
   return true;
 }
 
-std::vector<std::uint8_t> encode_snapshot(const ProxySnapshot& snapshot) {
-  ByteWriter body;
-  body.u64(snapshot.watermark);
-  body.i64(snapshot.taken_at);
-  body.u8(snapshot.has_channel ? 1 : 0);
-  if (snapshot.has_channel) {
-    body.u64(snapshot.channel.next_seq);
-    encode_ids(body, snapshot.channel.seen);
+void begin_snapshot(ByteWriter& out, std::uint64_t watermark, SimTime taken_at,
+                    const core::ChannelSnapshot* channel,
+                    std::size_t topic_count) {
+  out.clear();
+  out.raw(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic));
+  out.u32(0);  // body length, patched by finish_snapshot
+  out.u32(0);  // body CRC, likewise
+  out.u64(watermark);
+  out.i64(taken_at);
+  out.u8(channel != nullptr ? 1 : 0);
+  if (channel != nullptr) {
+    out.u64(channel->next_seq);
+    encode_ids(out, channel->seen);
   }
-  body.u32(static_cast<std::uint32_t>(snapshot.topics.size()));
-  for (const auto& [name, topic] : snapshot.topics) {
-    body.str(name);
-    encode_topic(body, topic);
-  }
+  out.u32(static_cast<std::uint32_t>(topic_count));
+}
 
+void finish_snapshot(ByteWriter& out) {
+  const std::uint8_t* body = out.bytes().data() + kHeaderBytes;
+  const std::size_t length = out.size() - kHeaderBytes;
+  out.patch_u32(sizeof(kMagic), static_cast<std::uint32_t>(length));
+  out.patch_u32(sizeof(kMagic) + 4, crc32(body, length));
+}
+
+std::vector<std::uint8_t> encode_snapshot(const ProxySnapshot& snapshot) {
   ByteWriter blob;
-  for (char c : kMagic) blob.u8(static_cast<std::uint8_t>(c));
-  blob.u32(static_cast<std::uint32_t>(body.size()));
-  blob.u32(crc32(body.bytes()));
-  std::vector<std::uint8_t> bytes = blob.take();
-  const std::vector<std::uint8_t>& payload = body.bytes();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return bytes;
+  begin_snapshot(blob, snapshot.watermark, snapshot.taken_at,
+                 snapshot.has_channel ? &snapshot.channel : nullptr,
+                 snapshot.topics.size());
+  for (const auto& [name, topic] : snapshot.topics) {
+    blob.str(name);
+    encode_topic(blob, topic);
+  }
+  finish_snapshot(blob);
+  return blob.take();
 }
 
 bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
                      ProxySnapshot* out) {
-  constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
   if (bytes.size() < kHeaderBytes) return false;
   for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
     if (bytes[i] != static_cast<std::uint8_t>(kMagic[i])) return false;
@@ -221,15 +292,20 @@ bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
 
 bool load_latest_snapshot(const StorageBackend& backend, ProxySnapshot* out,
                           std::uint64_t* seq, std::uint64_t* damaged) {
-  // Sorted blob names and fixed-width sequence numbers: walking the list
-  // backwards visits snapshots newest-first.
-  const std::vector<std::string> names = backend.list();
-  *damaged = 0;
-  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+  // Newest first by parsed sequence: the six-digit padding stops ordering
+  // names from snap-1000000 on.
+  std::vector<std::pair<std::uint64_t, std::string>> snapshots;
+  for (const std::string& name : backend.list()) {
     std::uint64_t candidate = 0;
-    if (!parse_snapshot_name(*it, &candidate)) continue;
+    if (parse_snapshot_name(name, &candidate)) {
+      snapshots.emplace_back(candidate, name);
+    }
+  }
+  std::sort(snapshots.begin(), snapshots.end(), std::greater<>());
+  *damaged = 0;
+  for (const auto& [candidate, name] : snapshots) {
     std::vector<std::uint8_t> bytes;
-    if (!backend.read(*it, &bytes)) continue;
+    if (!backend.read(name, &bytes)) continue;
     ProxySnapshot snapshot;
     if (!decode_snapshot(bytes, &snapshot)) {
       ++*damaged;

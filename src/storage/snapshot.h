@@ -7,17 +7,26 @@
 // by a crash (snapshots go through the same volatile-until-sync backend) is
 // rejected wholesale and recovery falls back to the previous one.
 //
-// Blobs are named "snap-NNNNNN"; the sequence number orders them, newest
-// last.
+// Blobs are named "snap-NNNNNN", the sequence number padded to six digits.
+// Past 999,999 the names outgrow the padding, so name order is not sequence
+// order: readers order blobs by the parsed sequence, newest highest.
+//
+// Periodic checkpoints are written straight from live topic state
+// (TopicState::write_image into a TopicImageEncoder) into one buffer the
+// writer keeps; encode_snapshot frames a value-type ProxySnapshot the same
+// way. Both give the same bytes for the same state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/moving_stats.h"
 #include "common/time.h"
 #include "core/snapshot.h"
+#include "pubsub/notification.h"
 #include "storage/backend.h"
 #include "storage/codec.h"
 
@@ -45,18 +54,61 @@ bool parse_snapshot_name(const std::string& name, std::uint64_t* seq);
 
 std::vector<std::uint8_t> encode_snapshot(const ProxySnapshot& snapshot);
 
+/// Starts a snapshot blob in `out`, which is cleared first (its capacity
+/// stays): the magic, a placeholder frame header, then the body's watermark,
+/// instant, channel (nullptr = none) and topic count. The caller appends
+/// each topic — str(name), then its image — and calls finish_snapshot.
+void begin_snapshot(ByteWriter& out, std::uint64_t watermark, SimTime taken_at,
+                    const core::ChannelSnapshot* channel,
+                    std::size_t topic_count);
+/// Patches the frame header of a blob begun by begin_snapshot with the
+/// length and CRC of the body now behind it.
+void finish_snapshot(ByteWriter& out);
+
 /// The per-topic image codec of the snapshot body, shared with the WAL's
 /// kAdopt record. decode_topic is false on a short or malformed image.
 void encode_topic(ByteWriter& writer, const core::TopicSnapshot& topic);
 bool decode_topic(ByteReader& reader, core::TopicSnapshot* topic);
+
+/// A TopicState::write_image sink that encodes a live topic straight into a
+/// ByteWriter: the bytes encode_topic writes for that topic's snapshot(),
+/// with no TopicSnapshot in between. The walk's sorts borrow its scratch id
+/// vector, so an encoder kept across checkpoints stops allocating once warm.
+class TopicImageEncoder {
+ public:
+  explicit TopicImageEncoder(ByteWriter& out) : out_(out) {}
+
+  std::vector<std::uint64_t>& scratch_ids() { return scratch_; }
+  void begin(core::ImageSection, std::size_t count) {
+    out_.u32(static_cast<std::uint32_t>(count));
+  }
+  void event(const pubsub::Notification& event);
+  void delayed(const pubsub::Notification& event, SimTime release_at);
+  void armed(std::uint64_t id, SimTime expires_at) {
+    out_.u64(id);
+    out_.i64(expires_at);
+  }
+  void ids(core::ImageSection, const std::vector<std::uint64_t>& sorted);
+  void averages(const MovingAverage& old_reads,
+                const IntervalAverage& read_times,
+                const MovingAverage& exp_times,
+                const IntervalAverage& arrival_times);
+  void scalars(std::uint64_t queue_size_view, double rate_credit,
+               std::int64_t current_day, std::uint64_t forwarded_today);
+
+ private:
+  ByteWriter& out_;
+  std::vector<std::uint64_t> scratch_;
+};
 
 /// Decodes a snapshot blob. False on any damage (bad magic, torn frame,
 /// CRC mismatch, malformed body) — the caller falls back to an older one.
 bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
                      ProxySnapshot* out);
 
-/// Newest valid snapshot in the backend, if any. Damaged snapshots are
-/// skipped (and reported via `damaged`, for fsck-style accounting).
+/// Newest valid snapshot in the backend — the highest sequence that
+/// decodes — if any. Damaged snapshots are skipped (and reported via
+/// `damaged`, for fsck-style accounting).
 bool load_latest_snapshot(const StorageBackend& backend, ProxySnapshot* out,
                           std::uint64_t* seq, std::uint64_t* damaged);
 

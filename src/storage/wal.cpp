@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include <bit>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -12,13 +14,27 @@ namespace waif::storage {
 using pubsub::Notification;
 
 void encode_notification(ByteWriter& writer, const Notification& event) {
-  writer.u64(event.id.value);
-  writer.str(event.topic);
-  writer.u64(event.publisher.value);
-  writer.f64(event.rank);
-  writer.i64(event.published_at);
-  writer.i64(event.expires_at);
-  writer.str(event.payload);
+  // Six fixed words and two length prefixes: the buffer grows once and
+  // every field is stored in place.
+  const std::size_t topic = event.topic.size();
+  const std::size_t payload = event.payload.size();
+  std::uint8_t* out = writer.extend(48 + topic + payload);
+  const auto word = [&out](std::uint64_t value) {
+    ByteWriter::store_le64(out, value);
+    out += 8;
+  };
+  const auto bytes = [&out](const std::string& value) {
+    ByteWriter::store_le32(out, static_cast<std::uint32_t>(value.size()));
+    std::memcpy(out + 4, value.data(), value.size());
+    out += 4 + value.size();
+  };
+  word(event.id.value);
+  bytes(event.topic);
+  word(event.publisher.value);
+  word(std::bit_cast<std::uint64_t>(event.rank));
+  word(static_cast<std::uint64_t>(event.published_at));
+  word(static_cast<std::uint64_t>(event.expires_at));
+  bytes(event.payload);
 }
 
 Notification decode_notification(ByteReader& reader) {

@@ -5,7 +5,8 @@
 // or drain-and-refill schedule/pop cycle on the event queue and an
 // insert/erase cycle on the ranked queues touch the global heap ZERO times
 // per event, and so do the journal hooks per WAL record (bar the blob's own
-// growth). A future change that quietly reintroduces per-event allocations
+// growth); a warm checkpoint allocates as often for a large image as for a
+// small one. A future change that quietly reintroduces per-event allocations
 // (a fatter callback that spills out of std::function's inline buffer, a
 // container swap that drops the pool allocator) fails here, not in a
 // profiler six months later.
@@ -18,7 +19,10 @@
 
 #include "common/alloc_stats.h"
 #include "common/rng.h"
+#include "core/channel.h"
+#include "core/forwarding_policy.h"
 #include "core/journal.h"
+#include "core/proxy.h"
 #include "pubsub/notification.h"
 #include "pubsub/ranked_queue.h"
 #include "sim/event_queue.h"
@@ -287,6 +291,72 @@ TEST(AllocRegressionTest, JournalHooksAllocateNothing) {
   EXPECT_LE(probe.allocations(), 100u)
       << "journal hooks hit the heap " << probe.allocations()
       << " times in 10000 records";
+}
+
+// A link that is always up and a device that takes every transfer.
+class AcceptingChannel final : public core::DeviceChannel {
+ public:
+  bool link_up() const override { return true; }
+  bool deliver(const pubsub::NotificationPtr&) override { return true; }
+};
+
+/// Heap allocations of one checkpoint, after a warm-up checkpoint, of a
+/// proxy with `topics` on-line topics that have each forwarded `per_topic`
+/// expiring notifications (so history, the forwarded set and the armed
+/// timers all hold `per_topic` entries).
+std::uint64_t checkpoint_allocations(int topics, int per_topic) {
+  sim::Simulator sim;
+  AcceptingChannel channel;
+  core::Proxy proxy(sim, channel, "alloc");
+  storage::MemBackend backend;
+  storage::PersistenceConfig config;
+  config.snapshot_interval = 0;
+  storage::ProxyPersistence persistence(sim, backend, config);
+
+  core::TopicConfig online;
+  online.mode = core::DeliveryMode::kOnLine;
+  online.policy = core::PolicyConfig::online();
+  std::vector<std::string> names;
+  for (int t = 0; t < topics; ++t) {
+    // Past libstdc++'s 15-byte small-string buffer, like the payloads.
+    names.push_back("experiment/topic-" + std::to_string(t));
+    proxy.add_topic(names.back(), online);
+  }
+  persistence.attach(proxy);
+
+  std::uint64_t next_id = 1;
+  for (const std::string& name : names) {
+    for (int i = 0; i < per_topic; ++i) {
+      auto event = std::make_shared<pubsub::Notification>();
+      event->id = NotificationId{next_id++};
+      event->topic = name;
+      event->publisher = PublisherId{1};
+      event->rank = static_cast<double>(i % 5);
+      event->expires_at = 365 * kDay;
+      event->payload = "a payload past the small-string buffer";
+      proxy.on_notification(event);
+    }
+  }
+
+  EXPECT_TRUE(persistence.snapshot_now());  // warm-up
+  alloc_stats::AllocProbe probe;
+  EXPECT_TRUE(persistence.snapshot_now());
+  return probe.allocations();
+}
+
+// A checkpoint encodes each topic's image straight from live state into a
+// buffer the persistence keeps, so once warm its allocation count is a
+// constant of the topic count (names, the blob the backend stores, the
+// prune listing), never of the image size.
+TEST(AllocRegressionTest, CheckpointAllocationsDoNotGrowWithTheImage) {
+  const std::uint64_t one_small = checkpoint_allocations(1, 512);
+  const std::uint64_t one_large = checkpoint_allocations(1, 4096);
+  EXPECT_EQ(one_small, one_large);
+
+  const std::uint64_t eight_small = checkpoint_allocations(8, 512);
+  const std::uint64_t eight_large = checkpoint_allocations(8, 4096);
+  EXPECT_EQ(eight_small, eight_large);
+  EXPECT_LE(eight_large, 32u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The bench report's RSS accounting: the reported peak must be the max over
 // the sweep (every sample_rss() call), not whatever the process happens to
 // hold at write() time — a bench whose biggest row frees its working set
-// before the report is written must still report the row's footprint.
+// before the report is written must still report the row's footprint. And
+// its metrics: a key may be recorded only once.
 #include "bench_report.h"
 
 #include <gtest/gtest.h>
@@ -91,6 +92,18 @@ TEST(BenchReportTest, WriteWithoutSamplesStillReportsLiveRss) {
       read_reported_peak(dir + "/BENCH_bench_report_test_nosample.json");
   EXPECT_GT(reported, 0u);
   unsetenv("WAIF_BENCH_JSON_DIR");
+}
+
+// A JSON reader keeps only the last of two equal keys, so a bench that
+// recorded one key per row would silently lose every row but the last.
+TEST(BenchReportTest, DuplicateMetricKeyIsRefused) {
+  EXPECT_DEATH(
+      {
+        BenchReport report("bench_report_test_duplicate");
+        report.metric("pause_ms", 1.0);
+        report.metric("pause_ms", 2.0);
+      },
+      "WAIF_CHECK failed");
 }
 
 }  // namespace
