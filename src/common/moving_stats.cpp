@@ -6,20 +6,6 @@
 
 namespace waif {
 
-void AverageSnapshot::add(double sample, std::size_t window) {
-  samples.push_back(sample);
-  sum += sample;
-  if (samples.size() > window) {
-    sum -= samples.front();
-    samples.erase(samples.begin());
-  }
-}
-
-void IntervalSnapshot::add(double timestamp, std::size_t window) {
-  if (last.has_value()) diffs.add(timestamp - *last, window);
-  last = timestamp;
-}
-
 MovingAverage::MovingAverage(std::size_t window) : window_(window) {
   WAIF_CHECK(window > 0);
 }

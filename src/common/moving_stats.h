@@ -21,19 +21,12 @@ namespace waif {
 struct AverageSnapshot {
   std::vector<double> samples;
   double sum = 0.0;
-
-  /// Mirrors MovingAverage::add exactly (same FP operation order) so WAL
-  /// replay can advance a snapshot without a live MovingAverage.
-  void add(double sample, std::size_t window);
 };
 
 /// Value snapshot of an IntervalAverage.
 struct IntervalSnapshot {
   AverageSnapshot diffs;
   std::optional<double> last;
-
-  /// Mirrors IntervalAverage::add.
-  void add(double timestamp, std::size_t window);
 };
 
 /// Arithmetic mean over the most recent `window` samples.

@@ -3,10 +3,11 @@
 // after a crash.
 //
 // TopicState calls the journal at each state transition with enough context
-// to replay the transition as pure data — no live handlers involved. The
-// hooks are no-ops by default and the journal pointer is optional, so a
-// proxy without persistence behaves byte-identically to one that never
-// heard of this header.
+// to replay the recorded outcome without re-deciding it: TopicState's
+// replay_* entry points (one per hook) apply it without the live handlers'
+// policy, forwarding or journaling. The hooks are no-ops by default and the
+// journal pointer is optional, so a proxy without persistence behaves
+// byte-identically to one that never heard of this header.
 #pragma once
 
 #include <cstdint>

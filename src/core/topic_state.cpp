@@ -14,18 +14,15 @@ using pubsub::NotificationPtr;
 using pubsub::RankHigher;
 
 TopicState::TopicState(sim::Simulator& sim, DeviceChannel& channel,
-                       std::string topic, TopicConfig config,
-                       std::size_t history_limit)
+                       std::string topic, TopicConfig config)
     : sim_(sim),
       channel_(channel),
       topic_(std::move(topic)),
       config_(config),
-      history_limit_(history_limit),
       old_reads_(config.policy.moving_average_window),
       read_times_(config.policy.moving_average_window),
       exp_times_(config.policy.moving_average_window),
       arrival_times_(config.policy.moving_average_window) {
-  WAIF_CHECK(history_limit > 0);
   WAIF_CHECK(config.options.max > 0);
   for (const QuietWindow& window : config_.refinements.quiet_windows) {
     WAIF_CHECK(window.start >= 0 && window.start < kDay);
@@ -67,12 +64,7 @@ void TopicState::handle_notification(const NotificationPtr& event) {
       // withdraw it from the prefetch pipeline.
       holding_.erase(event->id);
       prefetch_.erase(event->id);
-      if (auto it = pending_delay_.find(event->id.value);
-          it != pending_delay_.end()) {
-        it->second.timer.cancel();
-        pending_delay_.erase(it);
-        ++stats_.delay_drops;
-      }
+      if (erase_delayed(event->id)) ++stats_.delay_drops;
       if (forwarded_.contains(event->id.value)) {
         outgoing_.insert(event);  // tell the client of the rank drop
         placement.stage = JournalStage::kWithdrawn;
@@ -89,7 +81,7 @@ void TopicState::handle_notification(const NotificationPtr& event) {
       // Arm the expiration timer even here: a gate (day budget, quiet
       // window) or outage can strand the event in outgoing past its
       // lifetime, and an unjournaled lazy skip at forward time would
-      // diverge from the recovery mirror.
+      // diverge from WAL replay.
       track_expiration(event);
       outgoing_.insert(event);  // send to client ASAP
       placement.stage = JournalStage::kOutgoing;
@@ -141,19 +133,49 @@ void TopicState::track_expiration(const NotificationPtr& event) {
 }
 
 void TopicState::arm_expiration_timer(const NotificationPtr& event) {
-  if (!event->expires()) return;
   // schedule(&expiration_timeout, event.expires, event)
-  if (auto it = expiration_timers_.find(event->id.value);
+  if (event->expires()) arm_expiration(event->id, event->expires_at);
+}
+
+void TopicState::arm_expiration(NotificationId id, SimTime expires_at) {
+  disarm_expiration(id);
+  const SimTime when = std::max(expires_at, sim_.now());
+  expiration_timers_.emplace(
+      id.value,
+      ExpirationTimer{sim_.schedule_at(when, [this, id] { on_expiration(id); }),
+                      expires_at});
+}
+
+void TopicState::disarm_expiration(NotificationId id) {
+  if (auto it = expiration_timers_.find(id.value);
       it != expiration_timers_.end()) {
     it->second.timer.cancel();
     expiration_timers_.erase(it);
   }
+}
+
+void TopicState::arm_delay(const NotificationPtr& event, SimTime release_at) {
   const NotificationId id = event->id;
-  expiration_timers_.emplace(
-      id.value,
-      ExpirationTimer{
-          sim_.schedule_at(event->expires_at, [this, id] { on_expiration(id); }),
-          event->expires_at});
+  auto timer = sim_.schedule_at(std::max(release_at, sim_.now()),
+                                [this, id] { on_delay_elapsed(id); });
+  pending_delay_.insert_or_assign(
+      id.value, DelayedEvent{event, std::move(timer), release_at});
+}
+
+bool TopicState::erase_delayed(NotificationId id) {
+  auto it = pending_delay_.find(id.value);
+  if (it == pending_delay_.end()) return false;
+  it->second.timer.cancel();
+  pending_delay_.erase(it);
+  return true;
+}
+
+bool TopicState::purge(NotificationId id) {
+  bool removed = outgoing_.erase(id) != nullptr;
+  removed |= prefetch_.erase(id) != nullptr;
+  removed |= holding_.erase(id) != nullptr;
+  removed |= erase_delayed(id);
+  return removed;
 }
 
 TopicState::Placement TopicState::place_on_demand(const NotificationPtr& event,
@@ -171,12 +193,8 @@ TopicState::Placement TopicState::place_on_demand(const NotificationPtr& event,
   if (config_.policy.delay > 0 && !known_id) {
     // Delay stage (Section 3.4): give rank drops time to arrive before the
     // event becomes prefetchable.
-    const NotificationId id = event->id;
     const SimTime release_at = sim_.now() + config_.policy.delay;
-    auto timer = sim_.schedule_after(config_.policy.delay,
-                                     [this, id] { on_delay_elapsed(id); });
-    pending_delay_.insert_or_assign(
-        id.value, DelayedEvent{event, std::move(timer), release_at});
+    arm_delay(event, release_at);
     ++stats_.delayed;
     return {JournalStage::kDelay, release_at, exp_tracked};
   }
@@ -446,7 +464,7 @@ bool TopicState::do_forward(const NotificationPtr& event,
   ++queue_size_view_;
   forwarded_.insert(event->id.value);
   if (config_.mode == DeliveryMode::kOnLine) {
-    roll_day();
+    roll_day(sim_.now());
     ++forwarded_today_;
   }
   return true;
@@ -454,8 +472,8 @@ bool TopicState::do_forward(const NotificationPtr& event,
 
 // ------------------------------------------------- Section 2.2 refinements
 
-void TopicState::roll_day() {
-  const std::int64_t day = sim_.now() / kDay;
+void TopicState::roll_day(SimTime at) {
+  const std::int64_t day = at / kDay;
   if (day != current_day_) {
     current_day_ = day;
     forwarded_today_ = 0;
@@ -463,7 +481,7 @@ void TopicState::roll_day() {
 }
 
 std::size_t TopicState::forwarded_today() {
-  roll_day();
+  roll_day(sim_.now());
   return forwarded_today_;
 }
 
@@ -525,14 +543,7 @@ void TopicState::apply_replicated_forward(const NotificationPtr& event) {
     (void)journal_->on_forward(topic_, event, sim_.now(), rate_credit_,
                                /*replicated=*/true);
   }
-  outgoing_.erase(event->id);
-  prefetch_.erase(event->id);
-  holding_.erase(event->id);
-  if (auto it = pending_delay_.find(event->id.value);
-      it != pending_delay_.end()) {
-    it->second.timer.cancel();
-    pending_delay_.erase(it);
-  }
+  purge(event->id);
   forwarded_.insert(event->id.value);
   ++queue_size_view_;
   record_history(event);
@@ -566,16 +577,7 @@ void TopicState::on_expiration(NotificationId id) {
   if (journal_ != nullptr) {
     journal_->on_expire(topic_, id, /*timer_fired=*/true, sim_.now());
   }
-  bool removed = false;
-  removed |= holding_.erase(id) != nullptr;
-  removed |= prefetch_.erase(id) != nullptr;
-  removed |= outgoing_.erase(id) != nullptr;
-  if (auto it = pending_delay_.find(id.value); it != pending_delay_.end()) {
-    it->second.timer.cancel();
-    pending_delay_.erase(it);
-    removed = true;
-  }
-  if (removed) ++stats_.expired_at_proxy;
+  if (purge(id)) ++stats_.expired_at_proxy;
 }
 
 void TopicState::on_delay_elapsed(NotificationId id) {
@@ -634,21 +636,10 @@ bool TopicState::shed_one() {
   // observing journal can verify the canonical order against the live
   // queues.
   if (journal_ != nullptr) journal_->on_shed(topic_, victim, sim_.now());
-  const NotificationId id = victim->id;
-  outgoing_.erase(id);
-  prefetch_.erase(id);
-  holding_.erase(id);
-  // An interrupt leaves a copy in the delay stage; shedding must free that
-  // too, or the memory the budget exists to bound is not actually released.
-  if (auto it = pending_delay_.find(id.value); it != pending_delay_.end()) {
-    it->second.timer.cancel();
-    pending_delay_.erase(it);
-  }
-  if (auto it = expiration_timers_.find(id.value);
-      it != expiration_timers_.end()) {
-    it->second.timer.cancel();
-    expiration_timers_.erase(it);
-  }
+  // An interrupt leaves a copy in the delay stage; purging frees that too,
+  // or the memory the budget exists to bound is not actually released.
+  purge(victim->id);
+  disarm_expiration(victim->id);
   ++stats_.shed;
   return true;
 }
@@ -735,7 +726,7 @@ void TopicState::record_history(const NotificationPtr& event) {
     return;
   }
   history_order_.push_back(event->id.value);
-  if (history_order_.size() > history_limit_) {
+  if (history_order_.size() > kHistoryLimit) {
     // The "garbage collection" the paper's pseudo-code omits.
     history_.erase(history_order_.front());
     history_order_.pop_front();
@@ -842,15 +833,10 @@ void TopicState::restore(const TopicSnapshot& state) {
   fill_queue(state.prefetch, prefetch_);
   fill_queue(state.holding, holding_);
 
+  // Instants that passed while the proxy was down fire now.
   for (const DelayedSnapshot& delayed : state.delayed) {
-    auto event = std::make_shared<const pubsub::Notification>(delayed.event);
-    const NotificationId id = event->id;
-    // A release instant that passed while the proxy was down fires now.
-    const SimTime release = std::max(delayed.release_at, sim_.now());
-    auto timer = sim_.schedule_at(release, [this, id] { on_delay_elapsed(id); });
-    pending_delay_.insert_or_assign(
-        id.value,
-        DelayedEvent{std::move(event), std::move(timer), delayed.release_at});
+    arm_delay(std::make_shared<const pubsub::Notification>(delayed.event),
+              delayed.release_at);
   }
 
   for (const pubsub::Notification& event : state.history) {
@@ -860,13 +846,7 @@ void TopicState::restore(const TopicSnapshot& state) {
   forwarded_.insert(state.forwarded.begin(), state.forwarded.end());
 
   for (const ArmedExpiration& armed : state.expiration_armed) {
-    const NotificationId id{armed.id};
-    const SimTime when = std::max(armed.expires_at, sim_.now());
-    expiration_timers_.insert_or_assign(
-        armed.id,
-        ExpirationTimer{
-            sim_.schedule_at(when, [this, id] { on_expiration(id); }),
-            armed.expires_at});
+    arm_expiration(NotificationId{armed.id}, armed.expires_at);
   }
 
   seen_read_ids_.insert(state.seen_read_ids.begin(), state.seen_read_ids.end());
@@ -880,6 +860,127 @@ void TopicState::restore(const TopicSnapshot& state) {
   rate_credit_ = state.rate_credit;
   current_day_ = state.current_day;
   forwarded_today_ = static_cast<std::size_t>(state.forwarded_today);
+}
+
+// ----------------------------------------------------------------- WAL replay
+
+void TopicState::replay_enqueue(const EnqueueRecord& record) {
+  const auto event = std::make_shared<const pubsub::Notification>(record.event);
+  const NotificationId id = event->id;
+  if (record.fresh) arrival_times_.add(to_seconds(record.at));
+  if (record.exp_tracked) {
+    // track_expiration: train the lifetime average, arm the timer.
+    exp_times_.add(to_seconds(event->remaining_lifetime(record.at)));
+    arm_expiration(id, event->expires_at);
+  }
+  switch (record.stage) {
+    case JournalStage::kOutgoing:
+      outgoing_.insert(event);
+      break;
+    case JournalStage::kWithdrawn:
+      holding_.erase(id);
+      prefetch_.erase(id);
+      erase_delayed(id);
+      outgoing_.insert(event);
+      break;
+    case JournalStage::kDropped:
+      purge(id);
+      break;
+    case JournalStage::kInterrupt:
+    case JournalStage::kReadDifference:
+      holding_.erase(id);
+      prefetch_.erase(id);
+      outgoing_.insert(event);
+      break;
+    case JournalStage::kPrefetch:
+      prefetch_.insert(event);
+      break;
+    case JournalStage::kDelayRelease:
+      erase_delayed(id);
+      prefetch_.insert(event);
+      break;
+    case JournalStage::kHolding:
+      holding_.insert(event);
+      break;
+    case JournalStage::kDelay:
+      if (auto it = pending_delay_.find(id.value); it != pending_delay_.end()) {
+        it->second.event = event;  // a rank refresh keeps its release timer
+      } else {
+        arm_delay(event, record.release_at);
+      }
+      break;
+  }
+  // handle_notification records history for every arrival; the two stages
+  // emitted from other code paths (READ difference, delay release) do not.
+  if (record.stage != JournalStage::kReadDifference &&
+      record.stage != JournalStage::kDelayRelease) {
+    record_history(event);
+  }
+  rate_credit_ = record.rate_credit;
+}
+
+void TopicState::replay_forward(const pubsub::Notification& event, SimTime at,
+                                double rate_credit, bool replicated) {
+  if (replicated) {
+    // apply_replicated_forward: purge every stage, record history.
+    purge(event.id);
+    record_history(std::make_shared<const pubsub::Notification>(event));
+  } else {
+    // do_forward popped the event from outgoing or prefetch.
+    outgoing_.erase(event.id);
+    prefetch_.erase(event.id);
+    if (config_.mode == DeliveryMode::kOnLine) {
+      roll_day(at);
+      ++forwarded_today_;
+    }
+  }
+  forwarded_.insert(event.id.value);
+  ++queue_size_view_;
+  rate_credit_ = rate_credit;
+}
+
+void TopicState::replay_read(std::uint64_t request_id, int n,
+                             std::size_t queue_size, SimTime at) {
+  queue_size_view_ = queue_size;
+  // A duplicate READ only refreshed the queue-size view.
+  if (request_id != 0 && !seen_read_ids_.insert(request_id).second) return;
+  old_reads_.add(static_cast<double>(n));
+  read_times_.add(to_seconds(at));
+}
+
+void TopicState::replay_sync(std::size_t queue_size, std::uint64_t sync_id,
+                             const std::vector<ReadRecord>& offline_reads) {
+  queue_size_view_ = queue_size;
+  if (sync_id != 0 && !seen_sync_ids_.insert(sync_id).second) return;
+  for (const ReadRecord& read : offline_reads) {
+    old_reads_.add(static_cast<double>(read.n));
+    read_times_.add(to_seconds(read.time));
+  }
+}
+
+void TopicState::replay_expire(NotificationId id, bool timer_fired) {
+  if (timer_fired) {
+    disarm_expiration(id);
+    purge(id);
+  } else {
+    // The delay stage released an already-expired event; only the delay
+    // entry goes (the expiration timer stays armed, as in the live path).
+    erase_delayed(id);
+  }
+}
+
+void TopicState::replay_requeue(const pubsub::Notification& event, SimTime at) {
+  forwarded_.erase(event.id.value);
+  if (queue_size_view_ > 0) --queue_size_view_;
+  if (event.expired_at(at)) return;
+  const auto copy = std::make_shared<const pubsub::Notification>(event);
+  arm_expiration_timer(copy);
+  holding_.insert(copy);
+}
+
+void TopicState::replay_shed(NotificationId id) {
+  purge(id);
+  disarm_expiration(id);
 }
 
 }  // namespace waif::core

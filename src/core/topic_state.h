@@ -41,9 +41,6 @@
 
 namespace waif::core {
 
-/// Default bound on the per-topic history ("garbage collection" limit).
-inline constexpr std::size_t kDefaultHistoryLimit = 1 << 16;
-
 struct TopicStats {
   std::uint64_t arrivals = 0;              // NOTIFICATION invocations
   std::uint64_t rank_update_arrivals = 0;  // id already known (Section 3.4)
@@ -73,7 +70,7 @@ struct TopicStats {
 class TopicState {
  public:
   TopicState(sim::Simulator& sim, DeviceChannel& channel, std::string topic,
-             TopicConfig config, std::size_t history_limit = kDefaultHistoryLimit);
+             TopicConfig config);
 
   TopicState(const TopicState&) = delete;
   TopicState& operator=(const TopicState&) = delete;
@@ -162,6 +159,26 @@ class TopicState {
   /// try_forwarding once wiring is complete. Must be called before any
   /// other entry point.
   void restore(const TopicSnapshot& state);
+
+  // --- WAL replay (storage/persistence.h, replay_wal_record) ---------------
+  //
+  // One entry point per ProxyJournal hook. Each applies the journaled
+  // outcome (the JournalStage table in core/journal.h) to this topic's
+  // containers, averages and scalars at the record's instant `at` — never
+  // the simulator clock. Replay never journals, forwards or sheds, and
+  // never calls the overflow hook. Timers are armed and cancelled as the
+  // live path does, at max(instant, now), the clamp restore() uses.
+
+  void replay_enqueue(const EnqueueRecord& record);
+  void replay_forward(const pubsub::Notification& event, SimTime at,
+                      double rate_credit, bool replicated);
+  void replay_read(std::uint64_t request_id, int n, std::size_t queue_size,
+                   SimTime at);
+  void replay_sync(std::size_t queue_size, std::uint64_t sync_id,
+                   const std::vector<ReadRecord>& offline_reads);
+  void replay_expire(NotificationId id, bool timer_fired);
+  void replay_requeue(const pubsub::Notification& event, SimTime at);
+  void replay_shed(NotificationId id);
 
   // --- the paper's three main routines -------------------------------------
 
@@ -278,8 +295,8 @@ class TopicState {
   /// route through expiration check -> delay stage -> prefetch queue.
   Placement place_on_demand(const pubsub::NotificationPtr& event, bool known);
 
-  /// Resets the daily delivery budget when the day rolls over.
-  void roll_day();
+  /// Resets the daily delivery budget when the day of `at` is a new one.
+  void roll_day(SimTime at);
   /// Schedules a try_forwarding wake-up when a delivery gate will lift
   /// (quiet-window end or next-day budget reset).
   void schedule_gate_wake();
@@ -290,6 +307,19 @@ class TopicState {
   /// (Re-)arms the expiration timer only, without retraining the lifetime
   /// average — for events re-entering a queue (requeue_undelivered).
   void arm_expiration_timer(const pubsub::NotificationPtr& event);
+  /// (Re-)arms `id`'s expiration timer for `expires_at`, firing at
+  /// max(expires_at, now).
+  void arm_expiration(NotificationId id, SimTime expires_at);
+  /// Cancels and forgets `id`'s expiration timer, if armed.
+  void disarm_expiration(NotificationId id);
+  /// Puts `event` in the delay stage, released at max(release_at, now).
+  void arm_delay(const pubsub::NotificationPtr& event, SimTime release_at);
+  /// Drops `id` from the delay stage and cancels its release. True when the
+  /// stage held it.
+  bool erase_delayed(NotificationId id);
+  /// Drops `id` from outgoing, prefetch, holding and the delay stage. True
+  /// when any of them held it.
+  bool purge(NotificationId id);
 
   /// A known event was re-ranked (still above threshold): refresh whichever
   /// stage holds it, or notify the device if it was already forwarded.
@@ -317,6 +347,9 @@ class TopicState {
   static void sorted_ids(const Container& container,
                          std::vector<std::uint64_t>& ids);
 
+  /// Bound on the history ("garbage collection" limit): oldest ids go first.
+  static constexpr std::size_t kHistoryLimit = 1 << 16;
+
   void record_history(const pubsub::NotificationPtr& event);
   bool known(NotificationId id) const { return history_.contains(id.value); }
   /// Latest rank the proxy has seen for a (possibly device-held) id.
@@ -326,7 +359,6 @@ class TopicState {
   DeviceChannel& channel_;
   std::string topic_;
   TopicConfig config_;
-  std::size_t history_limit_;
 
   RankedQueue outgoing_;
   RankedQueue prefetch_;

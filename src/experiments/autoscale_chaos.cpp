@@ -4,33 +4,13 @@
 #include <string>
 #include <utility>
 
-#include "common/rng.h"
 #include "experiments/parallel_runner.h"
+#include "experiments/rebalance_chaos.h"
 #include "storage/backend.h"
 
 namespace waif::experiments {
 
 namespace {
-
-/// Extra publishes for one storm fault — the same shape rebalance chaos
-/// uses: `param` events from `at`, one per second, round-robin across the
-/// topics, ranks drawn from the fault's own seed.
-void add_storm(const ChaosFault& fault, const ElasticFleetConfig& config,
-               std::vector<PublishEvent>* out) {
-  Rng rng(fault.seed ^ 0x5709Cull);
-  const std::size_t topics =
-      std::max<std::size_t>(config.base.population.topics, 1);
-  for (std::uint64_t i = 0; i < fault.param; ++i) {
-    PublishEvent event;
-    event.time = fault.at + static_cast<SimTime>(i) * kSecond;
-    if (event.time >= config.base.horizon) break;
-    event.topic = static_cast<std::uint32_t>(i % topics);
-    event.rank = config.base.rank_lo +
-                 (config.base.rank_hi - config.base.rank_lo) *
-                     rng.next_double();
-    out->push_back(event);
-  }
-}
 
 /// The flash crowd behind one autoscale fault: `param` publishes on one
 /// seeded topic packed into the fault window, merged into BOTH the
@@ -175,22 +155,7 @@ AutoscaleChaosOutcome run_autoscale_chaos(const ChaosSchedule& schedule) {
         break;
     }
   }
-  std::stable_sort(config.resizes.begin(), config.resizes.end(),
-                   [](const ElasticResize& a, const ElasticResize& b) {
-                     return a.at < b.at;
-                   });
-  // Shrunk schedules can land two forced resizes on the same instant; keep
-  // the last drawn (the fleet demands strictly increasing instants).
-  std::vector<ElasticResize> merged;
-  merged.reserve(config.resizes.size());
-  for (const ElasticResize& resize : config.resizes) {
-    if (!merged.empty() && merged.back().at == resize.at) {
-      merged.back() = resize;
-    } else {
-      merged.push_back(resize);
-    }
-  }
-  config.resizes = std::move(merged);
+  sort_resizes(&config.resizes);
 
   const AutoscalerConfig controller_config =
       autoscale_controller_config(schedule);

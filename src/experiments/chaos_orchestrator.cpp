@@ -774,8 +774,9 @@ class ChaosHarness {
   }
 
   /// Live-vs-recovered digest equality: replay the written snapshot+WAL
-  /// through the recovery mirror and byte-compare the rebuilt images with
-  /// the journaled proxy's snapshots. An event shed (or expired, or moved)
+  /// through recover() — TopicState's replay entry points, not the live
+  /// handlers — and byte-compare the rebuilt images with the journaled
+  /// proxy's snapshots. An event shed (or expired, or moved)
   /// without its journal record survives in the replayed image and breaks
   /// the comparison. Skipped while the journal is detached or while a
   /// promotion's re-base checkpoint has not provably landed.
@@ -946,6 +947,32 @@ class ChaosHarness {
   workload::CanonicalDigest digest_;
 };
 
+/// An elastic-fleet run folded back into a ChaosOutcome, so replay files,
+/// the fuzzer and the shrinker cover the fleet unchanged. (A rebalance
+/// fleet's capacity model is off: it sheds and rejects nothing.)
+ChaosOutcome fold_elastic(const ElasticOutcome& elastic,
+                          std::uint64_t faults_applied,
+                          std::uint64_t faults_skipped,
+                          const std::vector<ChaosViolation>& violations) {
+  ChaosOutcome outcome;
+  outcome.read_digest = elastic.digest;
+  outcome.arrivals = elastic.publishes_routed;
+  outcome.total_read = elastic.drained;
+  outcome.read_operations = elastic.deliveries;
+  outcome.faults_applied = faults_applied;
+  outcome.faults_skipped = faults_skipped;
+  outcome.crashes = elastic.crashes;
+  outcome.machine_crashes = elastic.crashes;
+  outcome.restarts = elastic.crashes;
+  outcome.wal_repairs = elastic.wal_repairs;
+  outcome.records_logged = elastic.wal_records;
+  outcome.checks = elastic.checks;
+  outcome.shed = elastic.fanout_shed_batches;
+  outcome.admission_rejects = elastic.admission_rejected;
+  outcome.violations = violations;
+  return outcome;
+}
+
 }  // namespace
 
 std::vector<std::string> chaos_topics() {
@@ -1023,23 +1050,8 @@ ChaosOutcome run_chaos(const ChaosSchedule& schedule) {
       });
   if (autoscales) {
     const AutoscaleChaosOutcome autoscale = run_autoscale_chaos(schedule);
-    ChaosOutcome outcome;
-    outcome.read_digest = autoscale.elastic.digest;
-    outcome.arrivals = autoscale.elastic.publishes_routed;
-    outcome.total_read = autoscale.elastic.drained;
-    outcome.read_operations = autoscale.elastic.deliveries;
-    outcome.faults_applied = autoscale.faults_applied;
-    outcome.faults_skipped = autoscale.faults_skipped;
-    outcome.crashes = autoscale.elastic.crashes;
-    outcome.machine_crashes = autoscale.elastic.crashes;
-    outcome.restarts = autoscale.elastic.crashes;
-    outcome.wal_repairs = autoscale.elastic.wal_repairs;
-    outcome.records_logged = autoscale.elastic.wal_records;
-    outcome.checks = autoscale.elastic.checks;
-    outcome.shed = autoscale.elastic.fanout_shed_batches;
-    outcome.admission_rejects = autoscale.elastic.admission_rejected;
-    outcome.violations = autoscale.violations;
-    return outcome;
+    return fold_elastic(autoscale.elastic, autoscale.faults_applied,
+                        autoscale.faults_skipped, autoscale.violations);
   }
   // A schedule with a rebalance fault runs against the elastic shard fleet
   // (rebalance_chaos.h) and folds back into a ChaosOutcome so replay files,
@@ -1051,21 +1063,8 @@ ChaosOutcome run_chaos(const ChaosSchedule& schedule) {
       });
   if (rebalances) {
     const RebalanceChaosOutcome rebalance = run_rebalance_chaos(schedule);
-    ChaosOutcome outcome;
-    outcome.read_digest = rebalance.elastic.digest;
-    outcome.arrivals = rebalance.elastic.publishes_routed;
-    outcome.total_read = rebalance.elastic.drained;
-    outcome.read_operations = rebalance.elastic.deliveries;
-    outcome.faults_applied = rebalance.faults_applied;
-    outcome.faults_skipped = rebalance.faults_skipped;
-    outcome.crashes = rebalance.elastic.crashes;
-    outcome.machine_crashes = rebalance.elastic.crashes;
-    outcome.restarts = rebalance.elastic.crashes;
-    outcome.wal_repairs = rebalance.elastic.wal_repairs;
-    outcome.records_logged = rebalance.elastic.wal_records;
-    outcome.checks = rebalance.elastic.checks;
-    outcome.violations = rebalance.violations;
-    return outcome;
+    return fold_elastic(rebalance.elastic, rebalance.faults_applied,
+                        rebalance.faults_skipped, rebalance.violations);
   }
   ChaosHarness harness(schedule);
   return harness.run();

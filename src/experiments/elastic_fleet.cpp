@@ -965,8 +965,8 @@ class ElasticRun {
       return rollback();
     }
 
-    // 4. Replay through the recovery machinery, then fold the topic into
-    // the destination's own WAL (one kAdopt record) before the flip.
+    // 4. Replay the shipment into the destination, then fold the topic
+    // into the destination's own WAL (one kAdopt record) before the flip.
     std::vector<std::uint8_t> image_read;
     std::vector<std::uint8_t> tail_read;
     if (!dst.backend.read(migration_image_blob(id), &image_read) ||
@@ -974,16 +974,10 @@ class ElasticRun {
       return rollback();
     }
     now += config_.migration.replay_latency;
-    std::string shipped_topic;
-    core::TopicSnapshot rebuilt;
-    if (!replay_shipped_topic(image_read, tail_read, lineage.tail.size(),
-                              elastic_topic_config(), &shipped_topic,
-                              &rebuilt) ||
-        shipped_topic != name) {
+    if (!replay_shipped_topic(image_read, tail_read, lineage.tail.size(), name,
+                              elastic_topic_config(), *dst.proxy)) {
       return rollback();
     }
-    dst.proxy->add_topic(name, elastic_topic_config());
-    dst.proxy->topic(name)->restore(rebuilt);
     dst.owned.emplace(name, elastic_topic_config());
     bool folded = false;
     for (std::uint32_t attempt = 1; attempt <= config_.migration.max_attempts;

@@ -8,12 +8,6 @@
 
 namespace waif::experiments {
 
-namespace {
-
-/// Extra publishes for one storm fault: `param` events from `at`, one per
-/// second, round-robin across the topics, ranks drawn from the fault's own
-/// seed. Sequence numbers are left zero — the ElasticFleet constructor
-/// re-sequences the merged trace.
 void add_storm(const ChaosFault& fault, const ElasticFleetConfig& config,
                std::vector<PublishEvent>* out) {
   Rng rng(fault.seed ^ 0x5709Cull);
@@ -31,7 +25,22 @@ void add_storm(const ChaosFault& fault, const ElasticFleetConfig& config,
   }
 }
 
-}  // namespace
+void sort_resizes(std::vector<ElasticResize>* resizes) {
+  std::stable_sort(resizes->begin(), resizes->end(),
+                   [](const ElasticResize& a, const ElasticResize& b) {
+                     return a.at < b.at;
+                   });
+  std::vector<ElasticResize> merged;
+  merged.reserve(resizes->size());
+  for (const ElasticResize& resize : *resizes) {
+    if (!merged.empty() && merged.back().at == resize.at) {
+      merged.back() = resize;
+    } else {
+      merged.push_back(resize);
+    }
+  }
+  *resizes = std::move(merged);
+}
 
 ElasticFleetConfig rebalance_fleet_config(const ChaosSchedule& schedule) {
   ElasticFleetConfig config;
@@ -111,23 +120,7 @@ RebalanceChaosOutcome run_rebalance_chaos(const ChaosSchedule& schedule) {
         break;
     }
   }
-  std::stable_sort(config.resizes.begin(), config.resizes.end(),
-                   [](const ElasticResize& a, const ElasticResize& b) {
-                     return a.at < b.at;
-                   });
-  // Shrunk schedules can land two faults on the same instant; the fleet
-  // demands strictly increasing instants, so keep the last resize drawn
-  // for any instant (matching the old apply-in-order semantics).
-  std::vector<ElasticResize> merged;
-  merged.reserve(config.resizes.size());
-  for (const ElasticResize& resize : config.resizes) {
-    if (!merged.empty() && merged.back().at == resize.at) {
-      merged.back() = resize;
-    } else {
-      merged.push_back(resize);
-    }
-  }
-  config.resizes = std::move(merged);
+  sort_resizes(&config.resizes);
 
   ParallelRunner runner(1);
   InvariantMonitor monitor;

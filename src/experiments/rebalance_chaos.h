@@ -65,4 +65,18 @@ ElasticFleetConfig rebalance_fleet_config(const ChaosSchedule& schedule);
 /// invariant violations (they are data, for the shrinker).
 RebalanceChaosOutcome run_rebalance_chaos(const ChaosSchedule& schedule);
 
+// Shared with autoscale chaos (autoscale_chaos.h).
+
+/// Extra publishes for one storm fault: `param` events from `at`, one per
+/// second, round-robin across the topics, ranks drawn from the fault's own
+/// seed. Sequence numbers are left zero — the ElasticFleet constructor
+/// re-sequences the merged trace.
+void add_storm(const ChaosFault& fault, const ElasticFleetConfig& config,
+               std::vector<PublishEvent>* out);
+
+/// Orders `resizes` by instant. Shrunk schedules can land two resizes on
+/// the same instant and the fleet demands strictly increasing instants, so
+/// the last one drawn for an instant wins, as applying them in order would.
+void sort_resizes(std::vector<ElasticResize>* resizes);
+
 }  // namespace waif::experiments

@@ -267,35 +267,38 @@ std::vector<std::uint8_t> encode_wal_tail(
 
 bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
                           const std::vector<std::uint8_t>& tail_bytes,
-                          std::uint64_t expected_tail,
-                          const core::TopicConfig& config,
-                          std::string* topic, core::TopicSnapshot* out) {
+                          std::uint64_t expected_tail, const std::string& topic,
+                          const core::TopicConfig& config, core::Proxy& dest) {
   storage::ProxySnapshot image;
   if (!storage::decode_snapshot(image_bytes, &image)) return false;
-  if (image.topics.size() != 1 || image.watermark != 0) return false;
-  *topic = image.topics.front().first;
-
-  // The scratch incarnation: the shipment as a complete storage directory.
-  storage::MemBackend scratch;
-  scratch.write(storage::snapshot_blob_name(1), image_bytes);
-  scratch.write(storage::kWalBlobName, tail_bytes);
-
-  // Guard against a short or damaged tail before recovery repairs it away.
-  const storage::WalScan tail = storage::scan_wal(scratch);
-  if (!tail.clean() || tail.record_count != expected_tail) return false;
-
-  std::map<std::string, core::TopicConfig> configs;
-  configs.emplace(*topic, config);
-  const storage::RecoveryResult recovery =
-      storage::ProxyPersistence::recover(scratch, configs);
-
-  for (const auto& [name, state] : recovery.state.topics) {
-    if (name == *topic) {
-      *out = state;
-      return true;
-    }
+  if (image.topics.size() != 1 || image.watermark != 0 ||
+      image.topics.front().first != topic) {
+    return false;
   }
-  return false;
+  std::vector<storage::WalRecord> tail;
+  tail.reserve(expected_tail);
+  bool foreign = false;
+  // An adopt in the tail replaces the image and every record before it.
+  std::size_t from = 0;
+  const storage::WalScan scan =
+      storage::scan_wal_bytes(tail_bytes, [&](storage::WalRecord& record) {
+        foreign |= record.topic != topic;
+        tail.push_back(std::move(record));
+        if (tail.back().type == storage::WalRecordType::kAdopt) {
+          from = tail.size();
+        }
+      });
+  if (!scan.clean() || scan.record_count != expected_tail || foreign) {
+    return false;
+  }
+
+  core::TopicState& state = dest.add_topic(topic, config);
+  state.restore(from == 0 ? image.topics.front().second
+                          : *tail[from - 1].adopted);
+  for (; from < tail.size(); ++from) {
+    storage::replay_wal_record(state, tail[from]);
+  }
+  return true;
 }
 
 }  // namespace waif::experiments

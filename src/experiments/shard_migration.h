@@ -22,15 +22,15 @@
 // Shipping reuses the durability layer wholesale: the source's topic state
 // travels as a single-topic ProxySnapshot in the standard snapshot encoding
 // (storage/snapshot.h), its WAL tail as standard CRC-framed WAL records, and
-// the destination rebuilds the topic by literally running the PR 3 recovery
-// machinery (ProxyPersistence::recover) over a scratch backend holding the
-// two shipped blobs, then folds it into its own WAL as one kAdopt record
-// (ProxyPersistence::adopt). Every step costs the moved topic, not the
-// node: a source's lineage is decoded once (read_node_lineage) and each
-// moved topic picked from it. Storage faults during any durable step are
-// absorbed by deterministic retry/backoff (sim-time, no wall clock);
-// exhausting the attempts before the flip aborts the migration, which is
-// always safe.
+// the destination rebuilds the topic in place the way crash recovery does —
+// restore the image into a fresh TopicState, then replay the tail through
+// the same per-record dispatch (storage::replay_wal_record) — and folds it
+// into its own WAL as one kAdopt record (ProxyPersistence::adopt). Every
+// step costs the moved topic, not the node: a source's lineage is decoded
+// once (read_node_lineage) and each moved topic picked from it. Storage
+// faults during any durable step are absorbed by deterministic
+// retry/backoff (sim-time, no wall clock); exhausting the attempts before
+// the flip aborts the migration, which is always safe.
 //
 // This header is fleet-agnostic: the elastic fleet (elastic_fleet.h) drives
 // the protocol; everything here is the journal, the resume rule and the
@@ -45,6 +45,7 @@
 
 #include "common/time.h"
 #include "core/forwarding_policy.h"
+#include "core/proxy.h"
 #include "core/snapshot.h"
 #include "storage/backend.h"
 #include "storage/wal.h"
@@ -248,16 +249,18 @@ std::vector<std::uint8_t> encode_topic_image(const std::string& topic,
 std::vector<std::uint8_t> encode_wal_tail(
     const std::vector<storage::WalRecord>& records);
 
-/// Rebuilds the shipped topic exactly the way a crashed proxy rebuilds
-/// itself: a scratch backend holding the image as its only snapshot and the
-/// tail as its WAL, run through ProxyPersistence::recover. False when the
-/// payloads are damaged or incomplete (the caller re-ships or aborts);
-/// `expected_tail` guards against a short tail blob that would otherwise
-/// replay silently truncated.
+/// Rebuilds the shipped `topic` in `dest` the way recovery rebuilds a
+/// topic: adds it under `config`, restores the image (or the newest kAdopt
+/// image in the tail) and replays the tail records after it through
+/// storage::replay_wal_record. Both payloads are checked first: the image
+/// must hold `topic` alone at watermark 0, and the tail must be CRC-clean,
+/// hold only `topic`'s records and exactly `expected_tail` of them — a
+/// short tail blob would otherwise replay silently truncated. On a failed
+/// check it returns false and leaves `dest` untouched (the caller re-ships
+/// or aborts).
 bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
                           const std::vector<std::uint8_t>& tail_bytes,
-                          std::uint64_t expected_tail,
-                          const core::TopicConfig& config,
-                          std::string* topic, core::TopicSnapshot* out);
+                          std::uint64_t expected_tail, const std::string& topic,
+                          const core::TopicConfig& config, core::Proxy& dest);
 
 }  // namespace waif::experiments

@@ -1,10 +1,7 @@
 #include "storage/persistence.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -12,8 +9,6 @@
 
 namespace waif::storage {
 
-using core::JournalStage;
-using pubsub::Notification;
 using pubsub::NotificationPtr;
 
 // --- journaling --------------------------------------------------------------
@@ -318,297 +313,55 @@ void ProxyPersistence::warm_restart(core::Proxy& fresh) {
 
 namespace {
 
-/// Mutable per-topic image the WAL tail is folded into: the same state as a
-/// TopicSnapshot, in map form so record replay can erase/insert by id.
-struct TopicImage {
-  std::unordered_map<std::uint64_t, Notification> outgoing;
-  std::unordered_map<std::uint64_t, Notification> prefetch;
-  std::unordered_map<std::uint64_t, Notification> holding;
-  struct Delayed {
-    Notification event;
-    SimTime release_at = 0;
-  };
-  std::unordered_map<std::uint64_t, Delayed> delayed;
-  std::unordered_map<std::uint64_t, Notification> history;
-  std::deque<std::uint64_t> history_order;
-  std::set<std::uint64_t> forwarded;
-  std::map<std::uint64_t, SimTime> armed;
-  std::set<std::uint64_t> seen_read_ids;
-  std::set<std::uint64_t> seen_sync_ids;
-  AverageSnapshot old_reads;
-  IntervalSnapshot read_times;
-  AverageSnapshot exp_times;
-  IntervalSnapshot arrival_times;
-  std::uint64_t queue_size_view = 0;
-  double rate_credit = 0.0;
-  std::int64_t current_day = 0;
-  std::uint64_t forwarded_today = 0;
-
-  // Replay inputs from the topic's configuration.
-  std::size_t window = 8;
-  bool online_mode = false;
-
-  void record_history(const Notification& event) {
-    auto [it, inserted] = history.try_emplace(event.id.value, event);
-    if (!inserted) {
-      it->second = event;
-      return;
-    }
-    history_order.push_back(event.id.value);
-    if (history_order.size() > core::kDefaultHistoryLimit) {
-      history.erase(history_order.front());
-      history_order.pop_front();
-    }
-  }
-
-  void erase_delayed(std::uint64_t id) { delayed.erase(id); }
-
-  void erase_everywhere(std::uint64_t id) {
-    outgoing.erase(id);
-    prefetch.erase(id);
-    holding.erase(id);
-    delayed.erase(id);
-  }
+/// The rebuilt topics' last hop: replay never forwards, so nothing crosses.
+class InertChannel final : public core::DeviceChannel {
+ public:
+  bool link_up() const override { return false; }
+  bool deliver(const NotificationPtr&) override { return false; }
 };
 
-TopicImage image_from_snapshot(const core::TopicSnapshot& snap) {
-  TopicImage image;
-  for (const Notification& event : snap.outgoing) {
-    image.outgoing.emplace(event.id.value, event);
-  }
-  for (const Notification& event : snap.prefetch) {
-    image.prefetch.emplace(event.id.value, event);
-  }
-  for (const Notification& event : snap.holding) {
-    image.holding.emplace(event.id.value, event);
-  }
-  for (const core::DelayedSnapshot& delayed : snap.delayed) {
-    image.delayed.emplace(delayed.event.id.value,
-                          TopicImage::Delayed{delayed.event, delayed.release_at});
-  }
-  for (const Notification& event : snap.history) image.record_history(event);
-  image.forwarded.insert(snap.forwarded.begin(), snap.forwarded.end());
-  for (const core::ArmedExpiration& armed : snap.expiration_armed) {
-    image.armed.emplace(armed.id, armed.expires_at);
-  }
-  image.seen_read_ids.insert(snap.seen_read_ids.begin(),
-                             snap.seen_read_ids.end());
-  image.seen_sync_ids.insert(snap.seen_sync_ids.begin(),
-                             snap.seen_sync_ids.end());
-  image.old_reads = snap.old_reads;
-  image.read_times = snap.read_times;
-  image.exp_times = snap.exp_times;
-  image.arrival_times = snap.arrival_times;
-  image.queue_size_view = snap.queue_size_view;
-  image.rate_credit = snap.rate_credit;
-  image.current_day = snap.current_day;
-  image.forwarded_today = snap.forwarded_today;
-  return image;
-}
-
-/// RankHigher for notification values (rank order of the snapshot queues).
-bool rank_higher(const Notification& a, const Notification& b) {
-  if (a.rank != b.rank) return a.rank > b.rank;
-  if (a.published_at != b.published_at) return a.published_at > b.published_at;
-  return a.id.value > b.id.value;
-}
-
-std::vector<Notification> queue_to_vector(
-    const std::unordered_map<std::uint64_t, Notification>& queue) {
-  std::vector<Notification> events;
-  events.reserve(queue.size());
-  for (const auto& [id, event] : queue) events.push_back(event);
-  std::sort(events.begin(), events.end(), rank_higher);
-  return events;
-}
-
-core::TopicSnapshot image_to_snapshot(const TopicImage& image) {
-  core::TopicSnapshot snap;
-  snap.outgoing = queue_to_vector(image.outgoing);
-  snap.prefetch = queue_to_vector(image.prefetch);
-  snap.holding = queue_to_vector(image.holding);
-  snap.delayed.reserve(image.delayed.size());
-  for (const auto& [id, delayed] : image.delayed) {
-    snap.delayed.push_back({delayed.event, delayed.release_at});
-  }
-  std::sort(snap.delayed.begin(), snap.delayed.end(),
-            [](const core::DelayedSnapshot& a, const core::DelayedSnapshot& b) {
-              return a.event.id.value < b.event.id.value;
-            });
-  snap.history.reserve(image.history_order.size());
-  for (std::uint64_t id : image.history_order) {
-    snap.history.push_back(image.history.at(id));
-  }
-  snap.forwarded.assign(image.forwarded.begin(), image.forwarded.end());
-  snap.expiration_armed.reserve(image.armed.size());
-  for (const auto& [id, expires_at] : image.armed) {
-    snap.expiration_armed.push_back({id, expires_at});
-  }
-  snap.seen_read_ids.assign(image.seen_read_ids.begin(),
-                            image.seen_read_ids.end());
-  snap.seen_sync_ids.assign(image.seen_sync_ids.begin(),
-                            image.seen_sync_ids.end());
-  snap.old_reads = image.old_reads;
-  snap.read_times = image.read_times;
-  snap.exp_times = image.exp_times;
-  snap.arrival_times = image.arrival_times;
-  snap.queue_size_view = image.queue_size_view;
-  snap.rate_credit = image.rate_credit;
-  snap.current_day = image.current_day;
-  snap.forwarded_today = image.forwarded_today;
-  return snap;
-}
-
-/// Pure-data mirror of handle_notification's queue transition (the
-/// JournalStage contract in core/journal.h).
-void replay_enqueue(TopicImage& image, const WalRecord& record) {
-  const std::uint64_t id = record.event.id.value;
-  if (record.fresh) {
-    image.arrival_times.add(to_seconds(record.at), image.window);
-  }
-  if (record.exp_tracked) {
-    // track_expiration: train the lifetime average, arm the timer.
-    image.exp_times.add(to_seconds(record.event.expires_at - record.at),
-                        image.window);
-    image.armed.insert_or_assign(id, record.event.expires_at);
-  }
-  switch (record.stage) {
-    case JournalStage::kOutgoing:
-      image.outgoing.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kWithdrawn:
-      image.holding.erase(id);
-      image.prefetch.erase(id);
-      image.erase_delayed(id);
-      image.outgoing.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kDropped:
-      image.erase_everywhere(id);
-      break;
-    case JournalStage::kInterrupt:
-      image.holding.erase(id);
-      image.prefetch.erase(id);
-      image.outgoing.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kReadDifference:
-      image.prefetch.erase(id);
-      image.holding.erase(id);
-      image.outgoing.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kPrefetch:
-      image.prefetch.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kDelayRelease:
-      image.erase_delayed(id);
-      image.prefetch.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kHolding:
-      image.holding.insert_or_assign(id, record.event);
-      break;
-    case JournalStage::kDelay:
-      image.delayed.insert_or_assign(
-          id, TopicImage::Delayed{record.event, record.release_at});
-      break;
-  }
-  // handle_notification records history for every arrival; the two stages
-  // emitted from other code paths (READ difference, delay release) do not.
-  if (record.stage != JournalStage::kReadDifference &&
-      record.stage != JournalStage::kDelayRelease) {
-    image.record_history(record.event);
-  }
-  image.rate_credit = record.rate_credit;
-}
-
-void replay_forward(TopicImage& image, const WalRecord& record) {
-  const std::uint64_t id = record.event.id.value;
-  if (record.replicated) {
-    // apply_replicated_forward: purge every stage, record history.
-    image.erase_everywhere(id);
-    image.record_history(record.event);
-  } else {
-    // do_forward popped the event from outgoing or prefetch.
-    image.outgoing.erase(id);
-    image.prefetch.erase(id);
-    if (image.online_mode) {
-      const std::int64_t day = record.at / kDay;
-      if (day != image.current_day) {
-        image.current_day = day;
-        image.forwarded_today = 0;
-      }
-      ++image.forwarded_today;
-    }
-  }
-  image.forwarded.insert(id);
-  ++image.queue_size_view;
-  image.rate_credit = record.rate_credit;
-}
-
-void replay_read(TopicImage& image, const WalRecord& record) {
-  if (record.request_id != 0 &&
-      !image.seen_read_ids.insert(record.request_id).second) {
-    // Duplicate READ: only the queue-size view refreshes.
-    image.queue_size_view = record.queue_size;
-    return;
-  }
-  image.old_reads.add(static_cast<double>(record.n), image.window);
-  image.read_times.add(to_seconds(record.at), image.window);
-  image.queue_size_view = record.queue_size;
-}
-
-void replay_sync(TopicImage& image, const WalRecord& record) {
-  if (record.sync_id != 0 &&
-      !image.seen_sync_ids.insert(record.sync_id).second) {
-    image.queue_size_view = record.queue_size;
-    return;
-  }
-  for (const core::ReadRecord& read : record.offline_reads) {
-    image.old_reads.add(static_cast<double>(read.n), image.window);
-    image.read_times.add(to_seconds(read.time), image.window);
-  }
-  image.queue_size_view = record.queue_size;
-}
-
-void replay_expire(TopicImage& image, const WalRecord& record) {
-  if (record.timer_fired) {
-    image.armed.erase(record.id);
-    image.erase_everywhere(record.id);
-  } else {
-    // The delay stage released an already-expired event; only the delay
-    // entry goes (the expiration timer stays armed, as in the live path).
-    image.erase_delayed(record.id);
-  }
-}
-
-void replay_shed(TopicImage& image, const WalRecord& record) {
-  // Mirrors TopicState::shed_one: the victim leaves every queue (including
-  // any delay-stage copy an interrupt left behind) and its expiration timer
-  // disarms.
-  const std::uint64_t id = record.event.id.value;
-  image.armed.erase(id);
-  image.erase_everywhere(id);
-}
-
-void replay_adopt(TopicImage& image, const WalRecord& record) {
-  // The topic arrived whole: its image replaces whatever an older snapshot
-  // or earlier records held for it. The replay inputs stay the config's.
-  TopicImage adopted = image_from_snapshot(*record.adopted);
-  adopted.window = image.window;
-  adopted.online_mode = image.online_mode;
-  image = std::move(adopted);
-}
-
-void replay_requeue(TopicImage& image, const WalRecord& record) {
-  const std::uint64_t id = record.event.id.value;
-  image.forwarded.erase(id);
-  if (image.queue_size_view > 0) --image.queue_size_view;
-  if (record.event.expired_at(record.at)) return;
-  if (record.event.expires()) {
-    image.armed.insert_or_assign(id, record.event.expires_at);
-  }
-  image.holding.insert_or_assign(id, record.event);
-}
-
 }  // namespace
+
+void replay_wal_record(core::TopicState& topic, const WalRecord& record) {
+  // A kAdopt image replaces the whole topic, and restore() needs a fresh
+  // one: the caller rebuilds the topic from it instead.
+  WAIF_CHECK(record.type != WalRecordType::kAdopt);
+  switch (record.type) {
+    case WalRecordType::kEnqueue:
+      topic.replay_enqueue({.event = record.event,
+                            .stage = record.stage,
+                            .at = record.at,
+                            .release_at = record.release_at,
+                            .fresh = record.fresh,
+                            .exp_tracked = record.exp_tracked,
+                            .rate_credit = record.rate_credit});
+      break;
+    case WalRecordType::kForward:
+      topic.replay_forward(record.event, record.at, record.rate_credit,
+                           record.replicated);
+      break;
+    case WalRecordType::kRead:
+      topic.replay_read(record.request_id, record.n,
+                        static_cast<std::size_t>(record.queue_size), record.at);
+      break;
+    case WalRecordType::kSync:
+      topic.replay_sync(static_cast<std::size_t>(record.queue_size),
+                        record.sync_id, record.offline_reads);
+      break;
+    case WalRecordType::kExpire:
+      topic.replay_expire(NotificationId{record.id}, record.timer_fired);
+      break;
+    case WalRecordType::kRequeue:
+      topic.replay_requeue(record.event, record.at);
+      break;
+    case WalRecordType::kShed:
+      topic.replay_shed(record.event.id);
+      break;
+    case WalRecordType::kAck:  // a device confirmation: no topic state
+    case WalRecordType::kAdopt:
+      break;
+  }
+}
 
 RecoveryResult ProxyPersistence::recover(
     StorageBackend& backend,
@@ -621,16 +374,29 @@ RecoveryResult ProxyPersistence::recover(
       load_latest_snapshot(backend, &base, &seq, &result.damaged_snapshots);
   if (result.from_snapshot) result.snapshot_seq = seq;
 
+  // Each topic is rebuilt by TopicState's own replay, on a simulator that
+  // never runs and a channel that never delivers. The simulator is declared
+  // first so it outlives the topics' timers.
+  sim::Simulator sim;
+  InertChannel channel;
+  std::map<std::string, std::unique_ptr<core::TopicState>> topics;
+  const auto rebuild = [&](const std::string& name) -> core::TopicState& {
+    // A topic missing from `configs` replays under the default config.
+    const auto config = configs.find(name);
+    std::unique_ptr<core::TopicState>& topic = topics[name];
+    topic = std::make_unique<core::TopicState>(
+        sim, channel, name,
+        config != configs.end() ? config->second : core::TopicConfig{});
+    return *topic;
+  };
+  const auto topic = [&](const std::string& name) -> core::TopicState& {
+    const auto it = topics.find(name);
+    return it != topics.end() ? *it->second : rebuild(name);
+  };
+
   // Start from the snapshot image (or empty), then fold in the tail.
-  std::map<std::string, TopicImage> images;
-  for (const auto& [name, topic] : base.topics) {
-    images.emplace(name, image_from_snapshot(topic));
-  }
-  for (const auto& [name, config] : configs) {
-    TopicImage& image = images[name];  // creates empty images for new topics
-    image.window = config.policy.moving_average_window;
-    image.online_mode = config.mode == core::DeliveryMode::kOnLine;
-  }
+  for (const auto& [name, image] : base.topics) rebuild(name).restore(image);
+  for (const auto& [name, config] : configs) topic(name);
 
   // Replay straight from the scan: the log is never held as records.
   const std::uint64_t watermark =
@@ -638,36 +404,14 @@ RecoveryResult ProxyPersistence::recover(
   std::uint64_t index = 0;
   const WalScan wal = scan_wal(backend, kWalBlobName, [&](WalRecord& record) {
     if (index++ < watermark) return;
-    // ACKs journal device confirmations; the image does not depend on them.
+    // ACKs journal device confirmations: no topic depends on them.
     if (record.type == WalRecordType::kAck) return;
-    TopicImage& image = images[record.topic];
-    switch (record.type) {
-      case WalRecordType::kEnqueue:
-        replay_enqueue(image, record);
-        break;
-      case WalRecordType::kForward:
-        replay_forward(image, record);
-        break;
-      case WalRecordType::kRead:
-        replay_read(image, record);
-        break;
-      case WalRecordType::kSync:
-        replay_sync(image, record);
-        break;
-      case WalRecordType::kExpire:
-        replay_expire(image, record);
-        break;
-      case WalRecordType::kRequeue:
-        replay_requeue(image, record);
-        break;
-      case WalRecordType::kShed:
-        replay_shed(image, record);
-        break;
-      case WalRecordType::kAdopt:
-        replay_adopt(image, record);
-        break;
-      case WalRecordType::kAck:
-        break;
+    if (record.type == WalRecordType::kAdopt) {
+      // The topic arrived whole: its image replaces whatever an older
+      // snapshot or earlier records held for it.
+      rebuild(record.topic).restore(*record.adopted);
+    } else {
+      replay_wal_record(topic(record.topic), record);
     }
     ++result.replayed;
   });
@@ -685,8 +429,8 @@ RecoveryResult ProxyPersistence::recover(
   result.state.taken_at = base.taken_at;
   result.state.has_channel = base.has_channel;
   result.state.channel = base.channel;
-  for (const auto& [name, image] : images) {
-    result.state.topics.emplace_back(name, image_to_snapshot(image));
+  for (const auto& [name, state] : topics) {
+    result.state.topics.emplace_back(name, state->snapshot());
   }
   return result;
 }

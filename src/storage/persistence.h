@@ -19,11 +19,12 @@
 // middle of a TopicState callback — and the WAL is synced first so a
 // snapshot can never cover records that are not themselves durable.
 //
-// recover() is the other half: load the newest valid snapshot, replay the
-// WAL tail through a pure-data mirror of TopicState's transition rules (the
-// JournalStage table in core/journal.h), repair a damaged WAL tail by
-// truncating it, and hand back a RecoveryResult that restore_into() applies
-// to a freshly built Proxy.
+// recover() is the other half: load the newest valid snapshot, restore each
+// topic into a scratch TopicState and replay the WAL tail through
+// TopicState's own replay entry points (replay_wal_record; the JournalStage
+// table in core/journal.h), repair a damaged WAL tail by truncating it, and
+// hand back a RecoveryResult that restore_into() applies to a freshly built
+// Proxy.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +83,12 @@ struct PersistenceStats {
   std::uint64_t failed_snapshots = 0; // checkpoints aborted by a failed sync
   std::uint64_t forward_refusals = 0; // on_forward returned false
 };
+
+/// Applies one WAL record to `topic` through its replay entry points — the
+/// one dispatch recovery and migration share. kAck changes nothing; a
+/// kAdopt record is not accepted (its image replaces the topic: the caller
+/// rebuilds it with TopicState::restore).
+void replay_wal_record(core::TopicState& topic, const WalRecord& record);
 
 /// What recover() found, ready to be applied to a fresh proxy.
 struct RecoveryResult {
@@ -186,7 +193,8 @@ class ProxyPersistence final : public core::ProxyJournal,
   // --- recovery (static: no live ProxyPersistence needed) -------------------
   /// Loads the newest valid snapshot and replays the WAL tail. `configs`
   /// supplies per-topic delivery mode and moving-average window — the two
-  /// config inputs the replay rules depend on. A damaged WAL tail is
+  /// config inputs the replay rules depend on; a logged topic missing from
+  /// it replays under the default TopicConfig. A damaged WAL tail is
   /// repaired (truncated) in `backend`.
   static RecoveryResult recover(
       StorageBackend& backend,

@@ -224,11 +224,9 @@ bool WalWriter::sync() {
   return true;
 }
 
-WalScan scan_wal(const StorageBackend& backend, const std::string& blob,
-                 const std::function<void(WalRecord&)>& visit) {
+WalScan scan_wal_bytes(const std::vector<std::uint8_t>& bytes,
+                       const std::function<void(WalRecord&)>& visit) {
   WalScan scan;
-  std::vector<std::uint8_t> bytes;
-  if (!backend.read(blob, &bytes)) return scan;
   scan.total_bytes = bytes.size();
 
   std::size_t offset = 0;
@@ -261,6 +259,13 @@ WalScan scan_wal(const StorageBackend& backend, const std::string& blob,
     scan.valid_bytes = offset;
   }
   return scan;
+}
+
+WalScan scan_wal(const StorageBackend& backend, const std::string& blob,
+                 const std::function<void(WalRecord&)>& visit) {
+  std::vector<std::uint8_t> bytes;
+  if (!backend.read(blob, &bytes)) return {};
+  return scan_wal_bytes(bytes, visit);
 }
 
 WalReadResult read_wal(const StorageBackend& backend, const std::string& blob) {

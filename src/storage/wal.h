@@ -181,10 +181,13 @@ struct WalScan {
   bool clean() const { return valid_bytes == total_bytes; }
 };
 
-/// Scans the WAL blob up to the first damage, decoding every frame in place
+/// Scans WAL bytes up to the first damage, decoding every frame in place
 /// and handing each record to `visit` (which may move from it) in log
-/// order. An empty `visit` only counts. A missing blob is an empty, clean
-/// scan.
+/// order. An empty `visit` only counts.
+WalScan scan_wal_bytes(const std::vector<std::uint8_t>& bytes,
+                       const std::function<void(WalRecord&)>& visit = {});
+
+/// scan_wal_bytes over the WAL blob. A missing blob is an empty, clean scan.
 WalScan scan_wal(const StorageBackend& backend,
                  const std::string& blob = kWalBlobName,
                  const std::function<void(WalRecord&)>& visit = {});

@@ -1,7 +1,7 @@
 // Overload protection (core/overload.h): the canonical rank-then-expiration
 // shed order, the per-topic and proxy-wide queue budgets, admission
-// hysteresis at the proxy, and the enqueue-before-shed journal ordering the
-// recovery mirror depends on.
+// hysteresis at the proxy, and the enqueue-before-shed journal ordering WAL
+// replay depends on.
 #include "core/overload.h"
 
 #include <gtest/gtest.h>

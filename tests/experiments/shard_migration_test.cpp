@@ -250,16 +250,17 @@ TEST(ShardMigrationTest, ExtractEncodeReplayRoundTripsTopicState) {
   const std::vector<std::uint8_t> image_bytes =
       encode_topic_image("tA", lineage.image);
   const std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
-  std::string topic;
-  core::TopicSnapshot rebuilt;
+  sim::Simulator dest_sim;
+  core::Proxy dest(dest_sim, channel, "dest");
   ASSERT_TRUE(replay_shipped_topic(image_bytes, tail_bytes,
-                                   lineage.tail.size(), online_config(),
-                                   &topic, &rebuilt));
-  EXPECT_EQ(topic, "tA");
+                                   lineage.tail.size(), "tA", online_config(),
+                                   dest));
+  EXPECT_EQ(dest.topic_names(), std::vector<std::string>{"tA"});
 
   // Byte-level equality against the live topic, via the canonical encoding.
   const core::TopicSnapshot live = proxy.topic("tA")->snapshot();
-  EXPECT_EQ(encode_topic_image("tA", rebuilt), encode_topic_image("tA", live));
+  EXPECT_EQ(encode_topic_image("tA", dest.topic("tA")->snapshot()),
+            encode_topic_image("tA", live));
 }
 
 TEST(ShardMigrationTest, ReplayRejectsShortOrDamagedShipments) {
@@ -285,23 +286,34 @@ TEST(ShardMigrationTest, ReplayRejectsShortOrDamagedShipments) {
       encode_topic_image("tA", lineage.image);
   std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
 
-  std::string topic;
-  core::TopicSnapshot rebuilt;
+  sim::Simulator dest_sim;
+  core::Proxy dest(dest_sim, channel, "dest");
   // Tail shorter than promised: refuse (a silently truncated replay would
   // lose acknowledged records).
   EXPECT_FALSE(replay_shipped_topic(image_bytes, tail_bytes,
-                                    lineage.tail.size() + 1, online_config(),
-                                    &topic, &rebuilt));
+                                    lineage.tail.size() + 1, "tA",
+                                    online_config(), dest));
   // Damaged image: refuse.
   std::vector<std::uint8_t> damaged = image_bytes;
   damaged[damaged.size() / 2] ^= 0x40;
   EXPECT_FALSE(replay_shipped_topic(damaged, tail_bytes, lineage.tail.size(),
-                                    online_config(), &topic, &rebuilt));
+                                    "tA", online_config(), dest));
+  // Another topic's image: refuse.
+  EXPECT_FALSE(replay_shipped_topic(encode_topic_image("tB", lineage.image),
+                                    tail_bytes, lineage.tail.size(), "tA",
+                                    online_config(), dest));
+  // A tail holding another topic's record: refuse.
+  std::vector<storage::WalRecord> mixed = lineage.tail;
+  mixed.back().topic = "tB";
+  EXPECT_FALSE(replay_shipped_topic(image_bytes, encode_wal_tail(mixed),
+                                    mixed.size(), "tA", online_config(), dest));
   // Torn tail blob: refuse.
   tail_bytes.resize(tail_bytes.size() - 2);
   EXPECT_FALSE(replay_shipped_topic(image_bytes, tail_bytes,
-                                    lineage.tail.size(), online_config(),
-                                    &topic, &rebuilt));
+                                    lineage.tail.size(), "tA", online_config(),
+                                    dest));
+  // No refusal touched the destination.
+  EXPECT_EQ(dest.topic_count(), 0u);
 }
 
 TEST(ShardMigrationTest, ExtractWithoutSnapshotShipsTheWholeLog) {
@@ -329,14 +341,15 @@ TEST(ShardMigrationTest, ExtractWithoutSnapshotShipsTheWholeLog) {
   EXPECT_EQ(lineage.watermark, 0u);
   EXPECT_FALSE(lineage.tail.empty());
 
-  std::string topic;
-  core::TopicSnapshot rebuilt;
+  sim::Simulator dest_sim;
+  core::Proxy dest(dest_sim, channel, "dest");
   ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", lineage.image),
                                    encode_wal_tail(lineage.tail),
-                                   lineage.tail.size(), online_config(),
-                                   &topic, &rebuilt));
+                                   lineage.tail.size(), "tA", online_config(),
+                                   dest));
   const core::TopicSnapshot live = proxy.topic("tA")->snapshot();
-  EXPECT_EQ(encode_topic_image("tA", rebuilt), encode_topic_image("tA", live));
+  EXPECT_EQ(encode_topic_image("tA", dest.topic("tA")->snapshot()),
+            encode_topic_image("tA", live));
 }
 
 TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
@@ -377,14 +390,10 @@ TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
   // A -> B: ship, replay, fold.
   TopicLineage from_a;
   ASSERT_TRUE(extract_topic_lineage(a_backend, "tA", &from_a));
-  std::string topic;
-  core::TopicSnapshot rebuilt;
   ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", from_a.image),
                                    encode_wal_tail(from_a.tail),
-                                   from_a.tail.size(), online_config(), &topic,
-                                   &rebuilt));
-  b.add_topic("tA", online_config());
-  b.topic("tA")->restore(rebuilt);
+                                   from_a.tail.size(), "tA", online_config(),
+                                   b));
   ASSERT_TRUE(b_persistence.adopt("tA"));
   for (int i = 0; i < 4; ++i) {
     const SimTime at = (20 + i) * kSecond;
@@ -402,11 +411,13 @@ TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
   EXPECT_GT(from_b.watermark, 0u);
   ASSERT_GT(from_b.tail.size(), 1u);
   EXPECT_EQ(from_b.tail.front().type, storage::WalRecordType::kAdopt);
+  sim::Simulator c_sim;
+  core::Proxy c(c_sim, channel, "c");
   ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", from_b.image),
                                    encode_wal_tail(from_b.tail),
-                                   from_b.tail.size(), online_config(), &topic,
-                                   &rebuilt));
-  EXPECT_EQ(encode_topic_image("tA", rebuilt),
+                                   from_b.tail.size(), "tA", online_config(),
+                                   c));
+  EXPECT_EQ(encode_topic_image("tA", c.topic("tA")->snapshot()),
             encode_topic_image("tA", b.topic("tA")->snapshot()));
 }
 

@@ -81,7 +81,7 @@ TEST(ReplicatedRecovery, JournalFollowsFailoverAndWarmStartsReplicas) {
   EXPECT_GT(persistence.record_count(), records_at_30h);
 
   // At a quiescent instant the durable image equals the live active state:
-  // the WAL-replay mirror reproduces TopicState transition for transition.
+  // WAL replay reproduces TopicState transition for transition.
   std::map<std::string, core::TopicConfig> configs;
   configs.emplace(kTopic, topic_config());
   {
