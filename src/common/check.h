@@ -8,7 +8,8 @@
 
 namespace waif::detail {
 
-/// Flushes the logging sink, prints the failed expression, and aborts.
+/// Flushes the logging sink and stdout, prints the failed expression, and
+/// aborts.
 /// Out of line so the abort path can drain buffered diagnostics (crash-point
 /// and death tests rely on seeing the final log record).
 [[noreturn]] void check_failed(const char* expr, const char* file, int line);

@@ -197,9 +197,6 @@ void validate_chaos(const ChaosSchedule& schedule) {
   require(schedule.horizon > 0, "horizon must be positive");
   require(schedule.admission_low <= schedule.admission_high,
           "admission_low must not exceed admission_high");
-  require(schedule.persistence.keep_snapshots ==
-              storage::PersistenceConfig{}.keep_snapshots,
-          "persistence keep_snapshots is not part of a schedule");
   for (const ChaosFault& fault : schedule.faults) {
     const std::string name(chaos_fault_kind_name(fault.kind));
     require(fault.at >= 0, name + " start must be non-negative");

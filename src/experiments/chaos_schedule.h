@@ -120,8 +120,8 @@ struct ChaosSchedule {
   /// Circuit-breaker failure threshold (0 = breaker disabled).
   std::size_t breaker_threshold = 0;
   /// The WAL policy the active replica journals under. The `.chaos` line
-  /// carries the snapshot interval, sync interval, sync-on-forward and
-  /// group commit; keep_snapshots stays at its default.
+  /// carries every field: the snapshot interval, sync interval,
+  /// sync-on-forward and group commit.
   storage::PersistenceConfig persistence;
   ChaosBug bug = ChaosBug::kNone;
   std::vector<ChaosFault> faults;
@@ -137,8 +137,7 @@ ChaosSchedule read_chaos(std::istream& in);
 
 /// Rejects a schedule run_chaos could not honor (negative times, magnitudes
 /// outside [0, 1], admission_low above admission_high, non-positive
-/// horizon, a keep_snapshots the `.chaos` text cannot carry) by throwing
-/// std::invalid_argument. read_chaos calls this.
+/// horizon) by throwing std::invalid_argument. read_chaos calls this.
 void validate_chaos(const ChaosSchedule& schedule);
 
 /// Canonical digest over every field — equal digests certify byte-identical

@@ -1,7 +1,11 @@
 #include "experiments/parallel_runner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <ctime>
+#include <exception>
+#include <thread>
 
 #include "common/check.h"
 #include "common/moving_stats.h"
@@ -34,20 +38,52 @@ std::vector<std::uint64_t> sorted_ids(const metrics::ReadSet& ids) {
 
 }  // namespace
 
-ParallelRunner::ParallelRunner(std::size_t jobs) : pool_(jobs) {
-  stats_.threads = pool_.thread_count();
+ParallelRunner::ParallelRunner(std::size_t jobs)
+    : threads_(jobs > 0 ? jobs
+                        : std::max(1u, std::thread::hardware_concurrency())) {
+  stats_.threads = threads_;
 }
 
-void ParallelRunner::finish_stats(
-    std::chrono::steady_clock::time_point started,
-    const std::vector<double>& task_seconds) {
+void ParallelRunner::run_jobs(std::size_t count,
+                              const std::function<void(std::size_t)>& job) {
+  struct Slot {
+    double cpu_seconds = 0.0;
+    std::exception_ptr error;
+  };
+  std::vector<Slot> slots(count);
+  std::atomic<std::size_t> next{0};
+  // Each thread claims indexes until none is left; a job's slot is written
+  // only by the thread that claimed it, and the join publishes every slot.
+  const auto work = [&job, &slots, &next, count] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      const double started = thread_cpu_seconds();
+      try {
+        job(i);
+      } catch (...) {
+        slots[i].error = std::current_exception();
+      }
+      slots[i].cpu_seconds = thread_cpu_seconds() - started;
+    }
+  };
+
+  const auto started = std::chrono::steady_clock::now();
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < std::min(threads_, count); ++t) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }  // the helpers join here
+
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
   stats_.task_seconds = 0.0;
-  for (double seconds : task_seconds) stats_.task_seconds += seconds;
-  stats_.jobs = task_seconds.size();
-  stats_.threads = pool_.thread_count();
+  for (const Slot& slot : slots) stats_.task_seconds += slot.cpu_seconds;
+  stats_.jobs = count;
+  for (const Slot& slot : slots) {
+    if (slot.error) std::rethrow_exception(slot.error);
+  }
 }
 
 std::vector<Comparison> ParallelRunner::compare(
@@ -56,16 +92,6 @@ std::vector<Comparison> ParallelRunner::compare(
     const SweepPoint& point = points[i];
     return compare_policies(point.scenario, point.policy, point.seed,
                             point.device);
-  });
-}
-
-std::vector<RunOutcome> ParallelRunner::run(
-    const std::vector<SweepPoint>& points) {
-  return map(points.size(), [&points](std::size_t i) {
-    const SweepPoint& point = points[i];
-    const workload::Trace trace =
-        workload::generate_trace(point.scenario, point.seed);
-    return run_trace(trace, point.scenario, point.policy, point.device);
   });
 }
 
@@ -85,8 +111,8 @@ Aggregate ParallelRunner::evaluate(const workload::ScenarioConfig& config,
 
 std::vector<Aggregate> ParallelRunner::evaluate_many(
     const std::vector<EvalPoint>& points) {
-  // Flatten every (point, seed) replay into one batch so the pool stays busy
-  // across cells whose runs have very different costs.
+  // Flatten every (point, seed) replay into one batch so every thread stays
+  // busy across cells whose runs have very different costs.
   std::vector<SweepPoint> jobs;
   for (const EvalPoint& point : points) {
     WAIF_CHECK(point.seeds > 0);

@@ -1,9 +1,12 @@
 // Deterministic parallel sweep execution.
 //
 // Every figure and ablation replays dozens of independent (trace, policy)
-// pairs; ParallelRunner fans them out over a work-stealing thread pool
-// (common/thread_pool.h) while preserving the paper's methodology bit for
-// bit. The determinism contract:
+// pairs, and every fleet splits a run into independent shards or nodes:
+// each parallel step runs fn(i) for i < n and keeps each result at index i.
+// ParallelRunner::map is that one executor. Each call starts
+// min(jobs, n) - 1 helper threads, the calling thread works too, and every
+// thread claims the next index from one shared atomic counter; the helpers
+// are joined before map returns. The determinism contract:
 //
 //   * one Simulator per job — run_trace()/compare_policies() build a private
 //     simulator, broker, link and device, so jobs share no virtual clock and
@@ -17,15 +20,15 @@
 // workload::CanonicalDigest) makes cheap to assert in tests and benches.
 #pragma once
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "experiments/runner.h"
 #include "workload/serialization.h"
 
@@ -72,18 +75,16 @@ double thread_cpu_seconds();
 
 class ParallelRunner {
  public:
-  /// `jobs` = number of worker threads; 0 selects all hardware threads.
+  /// `jobs` = the most threads one call may use, the caller's included;
+  /// 0 selects all hardware threads. Constructing a runner starts nothing.
   explicit ParallelRunner(std::size_t jobs = 0);
 
-  std::size_t thread_count() const { return pool_.thread_count(); }
+  std::size_t thread_count() const { return threads_; }
 
   /// compare_policies() for every point, results in submission order.
   std::vector<Comparison> compare(const std::vector<SweepPoint>& points);
 
-  /// run_trace() of the policy run only (no baseline), submission order.
-  std::vector<RunOutcome> run(const std::vector<SweepPoint>& points);
-
-  /// The sequential evaluate() with its seeds fanned out over the pool.
+  /// The sequential evaluate() with its seeds fanned out as parallel jobs.
   Aggregate evaluate(const workload::ScenarioConfig& config,
                      const core::PolicyConfig& policy, std::uint64_t seeds = 3,
                      std::uint64_t first_seed = 1,
@@ -96,35 +97,30 @@ class ParallelRunner {
 
   /// Generic escape hatch for replays the harness does not know how to
   /// build (multi-device groups, replicated proxies, custom timing loops):
-  /// runs fn(0)..fn(count-1) on the pool and returns the results indexed by
-  /// job. `fn` must depend only on its index for determinism to hold.
+  /// runs fn(0)..fn(count-1) and returns the results indexed by job. `fn`
+  /// must depend only on its index for determinism to hold. Every job runs
+  /// even when some throw; map then rethrows the lowest-index exception.
   template <typename Fn>
   auto map(std::size_t count, Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
     using Result = std::invoke_result_t<Fn, std::size_t>;
     std::vector<std::optional<Result>> slots(count);
-    const auto started = std::chrono::steady_clock::now();
-    std::vector<double> task_seconds(count, 0.0);
-    parallel_for(pool_, count, [&fn, &slots, &task_seconds](std::size_t i) {
-      const double job_started = thread_cpu_seconds();
-      slots[i].emplace(fn(i));
-      task_seconds[i] = thread_cpu_seconds() - job_started;
-    });
-    finish_stats(started, task_seconds);
+    run_jobs(count, [&fn, &slots](std::size_t i) { slots[i].emplace(fn(i)); });
     std::vector<Result> results;
     results.reserve(count);
     for (auto& slot : slots) results.push_back(std::move(*slot));
     return results;
   }
 
-  /// Accounting of the most recent compare/run/evaluate/map call.
+  /// Accounting of the most recent compare/evaluate/map call.
   const SweepStats& last_stats() const { return stats_; }
 
  private:
-  void finish_stats(std::chrono::steady_clock::time_point started,
-                    const std::vector<double>& task_seconds);
+  /// Runs job(0)..job(count-1) on up to thread_count() threads, records the
+  /// call's SweepStats, then rethrows the lowest-index exception, if any.
+  void run_jobs(std::size_t count, const std::function<void(std::size_t)>& job);
 
-  ThreadPool pool_;
+  std::size_t threads_;
   SweepStats stats_;
 };
 

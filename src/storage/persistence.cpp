@@ -154,18 +154,15 @@ bool ProxyPersistence::snapshot_now() {
   last_snapshot_watermark_ = watermark;
   ++next_snapshot_seq_;
 
-  // Prune all but the newest keep_snapshots checkpoints.
+  // Prune all but the newest kKeptSnapshots checkpoints.
   std::vector<std::uint64_t> seqs;
   for (const std::string& name : backend_.list()) {
     std::uint64_t seq = 0;
     if (parse_snapshot_name(name, &seq)) seqs.push_back(seq);
   }
   std::sort(seqs.begin(), seqs.end());
-  const std::uint64_t keep = std::max<std::uint64_t>(1, config_.keep_snapshots);
-  if (seqs.size() > keep) {
-    for (std::size_t i = 0; i + keep < seqs.size(); ++i) {
-      backend_.remove(snapshot_blob_name(seqs[i]));
-    }
+  for (std::size_t i = 0; i + kKeptSnapshots < seqs.size(); ++i) {
+    backend_.remove(snapshot_blob_name(seqs[i]));
   }
   return true;
 }

@@ -60,8 +60,6 @@ struct PersistenceConfig {
   /// while the device still holds the copy (re-delivery replaces it), but
   /// an event the user already read surfaces a second time.
   bool sync_on_forward = true;
-  /// Keep this many newest snapshots; older ones are pruned.
-  std::uint64_t keep_snapshots = 2;
   /// Batch WAL framing with one fsync per producing simulator event instead
   /// of one per record. Appends stage in the writer; a post-event hook on
   /// the simulator flushes the whole batch with one backend append and one
@@ -209,6 +207,10 @@ class ProxyPersistence final : public core::ProxyJournal,
   static void restore_into(core::Proxy& proxy, const RecoveryResult& recovery);
 
  private:
+  /// Snapshots kept in the backend: each checkpoint prunes all older ones,
+  /// so recovery can fall back one checkpoint past a damaged newest.
+  static constexpr std::size_t kKeptSnapshots = 2;
+
   /// Appends one record (no sync, snapshot or record hook).
   void append(const WalRecord& record);
   /// Begins a hook's record in record_: sets the type, topic and instant;

@@ -9,8 +9,13 @@ time, thread counts, RSS) and compares the rest byte for byte:
 
   * fig1-fig6, the five ablate_* benches and the four chaos benches, each
     at --jobs 1 and at --jobs 8;
-  * scale_elastic --max-devices 50000 and scale_autoscale;
-  * the `digest:` lines of scale_million --max-pop 50000.
+  * scale_elastic --max-devices 50000 and scale_autoscale, each at --jobs 1
+    and at --jobs 8;
+  * the `digest:` lines of scale_million --max-pop 50000, at --jobs 1 and
+    at --jobs 8.
+
+--jobs 1 runs every job inline on the calling thread and --jobs 8 spreads
+them over helper threads, so both of ParallelRunner's paths are compared.
 
 scale_proxies and micro_core print only host rates and are left out. Each
 bench runs in a temporary working directory, so the BENCH_*.json reports
@@ -52,15 +57,22 @@ def keep_digests(line):
     return line.startswith("digest:")
 
 
+# (bench, arguments besides --jobs, which output lines are compared)
+SCALE_BENCHES = [
+    ("scale_elastic", ["--max-devices", "50000"], keep_all),
+    ("scale_autoscale", [], keep_all),
+    ("scale_million", ["--max-pop", "50000"], keep_digests),
+]
+
 # (bench, arguments, which output lines are compared)
 RUNS = [
     (bench, ["--jobs", jobs], keep_all)
     for bench in PAPER_BENCHES
     for jobs in ("1", "8")
 ] + [
-    ("scale_elastic", ["--jobs", "8", "--max-devices", "50000"], keep_all),
-    ("scale_autoscale", ["--jobs", "8"], keep_all),
-    ("scale_million", ["--jobs", "8", "--max-pop", "50000"], keep_digests),
+    (bench, ["--jobs", jobs] + args, keep)
+    for bench, args, keep in SCALE_BENCHES
+    for jobs in ("1", "8")
 ]
 
 
