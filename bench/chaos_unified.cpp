@@ -119,12 +119,12 @@ int main(int argc, char** argv) {
       {"fierce  / 12 / net-only", 0.60, 12, false, 0, 0},
       {"fierce  / 12 / +crash", 0.60, 12, true, 0, 0},
       // The elasticity tier: schedules that also grow the shard fleet to 7
-      // nodes and shrink it back mid-run (experiments/rebalance_chaos.h) —
+      // nodes and shrink it back mid-run (experiments/elastic_chaos.h) —
       // every one must keep the topology-invariant delivery digest equal
       // to a never-resized, fault-free run of the same trace.
       {"medium  /  8 / +rebal", 0.35, 8, true, 7, 0},
       // The autoscale tier: flash crowds against the closed-loop
-      // controller (experiments/autoscale_chaos.h) — the no-thrash
+      // controller, through the same elastic harness — the no-thrash
       // invariant, the journal round-trip and the gated digest check must
       // all hold for every seed.
       {"medium  /  8 / +auto", 0.35, 8, true, 0, 1024},

@@ -38,8 +38,8 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/flags.h"
-#include "experiments/autoscale_chaos.h"
 #include "experiments/autoscaler.h"
+#include "experiments/elastic_chaos.h"
 #include "experiments/elastic_fleet.h"
 #include "workload/stressors.h"
 
@@ -47,8 +47,9 @@ using namespace waif;
 
 namespace {
 
-/// The shared base: the chaos bridge's capacity-armed fleet (3 shards that
-/// may grow to 6, occupancy a real signal) over one simulated day.
+/// The shared base: the elastic chaos harness's capacity-armed fleet (3
+/// shards that may grow to 6, occupancy a real signal) over one simulated
+/// day.
 experiments::ElasticFleetConfig base_config() {
   experiments::ChaosSchedule schedule;
   schedule.seed = 1;

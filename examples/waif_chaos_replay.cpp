@@ -36,9 +36,9 @@
 #include <algorithm>
 
 #include "common/flags.h"
-#include "experiments/autoscale_chaos.h"
 #include "experiments/chaos_orchestrator.h"
 #include "experiments/chaos_schedule.h"
+#include "experiments/elastic_chaos.h"
 
 using namespace waif;
 using namespace waif::experiments;
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
         render_chaos_timeline(text, schedule);
         // A schedule with an autoscale fault gets the closed-loop
         // controller's actual decisions rendered under the fault timeline
-        // — run it through the autoscale bridge (deterministic) and append
+        // — run it through the elastic harness (deterministic) and append
         // the decision rows, '#'-prefixed like everything else.
         const bool autoscales = std::any_of(
             schedule.faults.begin(), schedule.faults.end(),
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
               return fault.kind == ChaosFaultKind::kAutoscale;
             });
         if (autoscales) {
-          const AutoscaleChaosOutcome outcome = run_autoscale_chaos(schedule);
+          const ElasticChaosOutcome outcome = run_elastic_chaos(schedule);
           render_autoscale_timeline(text, outcome.decisions,
                                     schedule.horizon);
         }

@@ -84,9 +84,6 @@ ChannelSnapshot ReliableDeviceChannel::snapshot() const {
   ChannelSnapshot snap;
   snap.next_seq = next_seq_;
   snap.seen.assign(seen_order_.begin(), seen_order_.end());
-  snap.breaker = static_cast<std::uint8_t>(breaker_);
-  snap.consecutive_failures =
-      static_cast<std::uint64_t>(consecutive_failures_);
   return snap;
 }
 
@@ -99,27 +96,6 @@ void ReliableDeviceChannel::restore(const ChannelSnapshot& state) {
       seen_.erase(seen_order_.front());
       seen_order_.pop_front();
     }
-  }
-}
-
-void ReliableDeviceChannel::restore_live(const ChannelSnapshot& state) {
-  restore(state);
-  if (config_.breaker_failure_threshold == 0) return;
-  consecutive_failures_ = static_cast<std::size_t>(
-      std::min<std::uint64_t>(state.consecutive_failures,
-                              config_.breaker_failure_threshold));
-  const auto carried = static_cast<BreakerState>(state.breaker);
-  if (carried == BreakerState::kOpen || carried == BreakerState::kHalfOpen) {
-    // Conservative on both breaker shapes: the new owner waits out its own
-    // full cooldown before probing, rather than inheriting a half-spent
-    // timer it cannot see.
-    breaker_ = BreakerState::kOpen;
-    consecutive_failures_ = 0;
-    probes_left_ = 0;
-    cooldown_timer_.cancel();
-    cooldown_timer_ = sim_.schedule_after(config_.breaker_cooldown,
-                                          [this] { enter_half_open(); });
-    if (breaker_observer_) breaker_observer_(breaker_);
   }
 }
 

@@ -147,19 +147,11 @@ class ReliableDeviceChannel final : public DeviceChannel {
   ChannelSnapshot snapshot() const;
 
   /// Restores snapshot state into a fresh channel (no transfers admitted
-  /// yet). The sequence counter never goes backwards. Breaker fields in the
-  /// snapshot are ignored: a warm start from a durable image re-learns a
-  /// slow device from fresh evidence (the breaker is process-transient on
-  /// this path — see crash_proxy_side).
+  /// yet). The sequence counter never goes backwards. The breaker is not
+  /// part of the snapshot: a warm start from a durable image re-learns a
+  /// slow device from fresh evidence (the breaker is process-transient —
+  /// see crash_proxy_side).
   void restore(const ChannelSnapshot& state);
-
-  /// Live hand-off restore (topic migration): restore() plus the breaker.
-  /// A breaker the source channel held open (or half-open) stays open on
-  /// the new owner with a fresh cooldown armed, instead of silently
-  /// re-closing on the ownership flip and hammering a device the old owner
-  /// already proved unresponsive. No-op beyond restore() when this
-  /// channel's breaker is disabled (threshold 0).
-  void restore_live(const ChannelSnapshot& state);
 
   /// Models the proxy process dying while the channel object (and any
   /// frames already in the air) survives: every in-flight transfer and the
@@ -244,9 +236,9 @@ class ReliableDeviceChannel final : public DeviceChannel {
   std::function<void(const pubsub::NotificationPtr&)> ack_observer_;
   std::function<void(BreakerState)> breaker_observer_;
 
-  // Circuit-breaker state. snapshot() captures it, but only restore_live
-  // (topic migration hand-off) re-applies it — a proxy warm-starting from a
-  // durable image re-learns a slow device from fresh evidence.
+  // Circuit-breaker state. Process-transient: snapshot() leaves it out, so
+  // a proxy warm-starting from a durable image re-learns a slow device from
+  // fresh evidence.
   BreakerState breaker_ = BreakerState::kClosed;
   std::size_t consecutive_failures_ = 0;
   std::size_t probes_left_ = 0;

@@ -74,21 +74,9 @@ struct TopicSnapshot {
 /// counter (so a recovered proxy never reuses a seq the device has seen) and
 /// the device-side dedup window, captured so the in-sim recovery hand-off
 /// can rebuild a channel pair wholesale.
-///
-/// The breaker fields are *live hand-off* state, not durable state: a topic
-/// migrated while its device's breaker is open must arrive on the new owner
-/// with the breaker still open (restore_live applies them), but a proxy
-/// warm-starting from a durable image re-learns a slow device from fresh
-/// evidence (plain restore ignores them, and the storage codec deliberately
-/// does not serialize them).
 struct ChannelSnapshot {
   std::uint64_t next_seq = 1;
   std::vector<std::uint64_t> seen;  // device dedup window, insertion order
-  /// core::BreakerState of the source channel at capture (raw int to keep
-  /// this header below reliable_channel.h in the include order).
-  std::uint8_t breaker = 0;
-  /// Exhausted transfers counted toward the breaker threshold at capture.
-  std::uint64_t consecutive_failures = 0;
 };
 
 }  // namespace waif::core

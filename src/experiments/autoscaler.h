@@ -70,6 +70,8 @@ struct AutoscaleEvent {
   double occupancy = 0.0;
   /// Pause the controller charged itself for this decision (resizes only).
   SimDuration charged_pause = 0;
+
+  bool operator==(const AutoscaleEvent&) const = default;
 };
 
 /// Journal line format: "autoscale <at> <decision> <before> <after>

@@ -19,8 +19,7 @@
 #include "core/reliable_channel.h"
 #include "core/snapshot.h"
 #include "device/device.h"
-#include "experiments/autoscale_chaos.h"
-#include "experiments/rebalance_chaos.h"
+#include "experiments/elastic_chaos.h"
 #include "net/link.h"
 #include "pubsub/broker.h"
 #include "pubsub/publisher.h"
@@ -292,12 +291,12 @@ class ChaosHarness {
                           total_arrivals() + total_storm_events(), 1)),
         link_(sim_),
         device_(sim_, DeviceId{1}),
-        publisher_(broker_, "workload"),
         monitor_(expectations(schedule)),
         reliable_(sim_, link_, device_, channel_config(schedule),
                   channel_seed(schedule.seed)),
         guard_(sim_, reliable_, monitor_),
         replicated_(sim_, link_, device_, guard_, replication_config()),
+        publisher_(broker_, "workload"),
         persistence_(sim_, backend_, schedule.persistence),
         link_seed_state_(schedule.seed ^ 0xC4A05FA17ull),
         storage_seed_state_(schedule.seed ^ 0xC4A05D15Cull) {
@@ -548,9 +547,9 @@ class ChaosHarness {
         break;
       case ChaosFaultKind::kRebalance:
       case ChaosFaultKind::kAutoscale:
-        // run_chaos dispatches rebalance/autoscale schedules to their own
-        // harnesses before this one is built; count defensively if one
-        // slips in.
+        // run_chaos dispatches rebalance/autoscale schedules to the elastic
+        // harness before this one is built; count defensively if one slips
+        // in.
         ++outcome_.faults_skipped;
         break;
     }
@@ -912,13 +911,15 @@ class ChaosHarness {
   pubsub::Broker broker_;
   net::Link link_;
   device::Device device_;
-  pubsub::Publisher publisher_;
   storage::MemBackend backend_;
   ChaosOutcome outcome_;
   InvariantMonitor monitor_;
   core::ReliableDeviceChannel reliable_;
   GuardChannel guard_;
   core::ReplicatedProxy replicated_;
+  // After replicated_: the publisher's destructor withdraws its topics,
+  // which calls into every subscriber still subscribed.
+  pubsub::Publisher publisher_;
   storage::ProxyPersistence persistence_;
   ChaosTee tee_;
 
@@ -947,20 +948,17 @@ class ChaosHarness {
   workload::CanonicalDigest digest_;
 };
 
-/// An elastic-fleet run folded back into a ChaosOutcome, so replay files,
-/// the fuzzer and the shrinker cover the fleet unchanged. (A rebalance
-/// fleet's capacity model is off: it sheds and rejects nothing.)
-ChaosOutcome fold_elastic(const ElasticOutcome& elastic,
-                          std::uint64_t faults_applied,
-                          std::uint64_t faults_skipped,
-                          const std::vector<ChaosViolation>& violations) {
+/// An elastic chaos run folded back into a ChaosOutcome, so replay files,
+/// the fuzzer and the shrinker cover the fleet unchanged.
+ChaosOutcome fold_elastic(const ElasticChaosOutcome& run) {
+  const ElasticOutcome& elastic = run.elastic;
   ChaosOutcome outcome;
   outcome.read_digest = elastic.digest;
   outcome.arrivals = elastic.publishes_routed;
   outcome.total_read = elastic.drained;
   outcome.read_operations = elastic.deliveries;
-  outcome.faults_applied = faults_applied;
-  outcome.faults_skipped = faults_skipped;
+  outcome.faults_applied = run.faults_applied;
+  outcome.faults_skipped = run.faults_skipped;
   outcome.crashes = elastic.crashes;
   outcome.machine_crashes = elastic.crashes;
   outcome.restarts = elastic.crashes;
@@ -969,7 +967,7 @@ ChaosOutcome fold_elastic(const ElasticOutcome& elastic,
   outcome.checks = elastic.checks;
   outcome.shed = elastic.fanout_shed_batches;
   outcome.admission_rejects = elastic.admission_rejected;
-  outcome.violations = violations;
+  outcome.violations = run.violations;
   return outcome;
 }
 
@@ -1039,33 +1037,15 @@ std::uint64_t ChaosOutcome::digest() const {
 
 ChaosOutcome run_chaos(const ChaosSchedule& schedule) {
   validate_chaos(schedule);
-  // A schedule with an autoscale fault runs against the closed-loop fleet
-  // (autoscale_chaos.h) — it subsumes rebalance faults as forced resizes
-  // racing the controller — and folds back into a ChaosOutcome so replay
-  // files, the fuzzer and the shrinker cover the controller unchanged.
-  const bool autoscales = std::any_of(
+  // A schedule with a rebalance or autoscale fault runs against the elastic
+  // shard fleet (elastic_chaos.h).
+  const bool elastic = std::any_of(
       schedule.faults.begin(), schedule.faults.end(),
       [](const ChaosFault& fault) {
-        return fault.kind == ChaosFaultKind::kAutoscale;
+        return fault.kind == ChaosFaultKind::kRebalance ||
+               fault.kind == ChaosFaultKind::kAutoscale;
       });
-  if (autoscales) {
-    const AutoscaleChaosOutcome autoscale = run_autoscale_chaos(schedule);
-    return fold_elastic(autoscale.elastic, autoscale.faults_applied,
-                        autoscale.faults_skipped, autoscale.violations);
-  }
-  // A schedule with a rebalance fault runs against the elastic shard fleet
-  // (rebalance_chaos.h) and folds back into a ChaosOutcome so replay files,
-  // the fuzzer and the shrinker cover elasticity unchanged.
-  const bool rebalances = std::any_of(
-      schedule.faults.begin(), schedule.faults.end(),
-      [](const ChaosFault& fault) {
-        return fault.kind == ChaosFaultKind::kRebalance;
-      });
-  if (rebalances) {
-    const RebalanceChaosOutcome rebalance = run_rebalance_chaos(schedule);
-    return fold_elastic(rebalance.elastic, rebalance.faults_applied,
-                        rebalance.faults_skipped, rebalance.violations);
-  }
+  if (elastic) return fold_elastic(run_elastic_chaos(schedule));
   ChaosHarness harness(schedule);
   return harness.run();
 }

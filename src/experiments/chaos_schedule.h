@@ -63,14 +63,15 @@ enum class ChaosFaultKind : std::uint8_t {
   /// round-robin across the topics, half of them short-lived.
   kStorm = 5,
   /// Device stall window: every ACK vanishes (uplink drop 1.0), the
-  /// breaker's food.
+  /// breaker's food. On the elastic fleet, a cell outage over fraction
+  /// `magnitude` of the devices.
   kDeviceStall = 6,
-  /// Elastic fleet rebalance (experiments/rebalance_chaos.h): grow the
+  /// Elastic fleet rebalance (experiments/elastic_chaos.h): grow the
   /// fleet to `param` shards at `at`, shrink back to the base size after
   /// `duration`; magnitude becomes a storage-fault window over the
   /// migration protocol's durable steps.
   kRebalance = 7,
-  /// Autoscaler flash crowd (experiments/autoscale_chaos.h): one topic
+  /// Autoscaler flash crowd (experiments/elastic_chaos.h): one topic
   /// (fault seed picks it) spikes with `param` extra publishes over
   /// `duration`, the closed-loop controller reacts; magnitude becomes a
   /// storage-fault window over the migration protocol, forcing the

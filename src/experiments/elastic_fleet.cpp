@@ -765,14 +765,14 @@ class ElasticRun {
   }
 
   bool journal_append_retry(MigrationRecord record, Rng& rng, SimTime* now) {
-    for (std::uint32_t attempt = 1; attempt <= config_.migration.max_attempts;
+    for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
          ++attempt) {
-      *now += config_.migration.journal_latency;
+      *now += kMigrationJournalLatency;
       record.at = *now;
       if (!op_fails(*now, rng) && journal_.append(record)) return true;
-      if (attempt < config_.migration.max_attempts) {
+      if (attempt < kMigrationMaxAttempts) {
         ++migration_retries_;
-        *now += migration_backoff(config_.migration, attempt);
+        *now += migration_backoff(attempt);
       }
     }
     return false;
@@ -798,7 +798,7 @@ class ElasticRun {
       }
       if (crash.source && from < nodes_.size()) crash_node(from, *now);
       if (crash.dest && to < nodes_.size()) crash_node(to, *now);
-      *now += config_.migration.restart_delay;
+      *now += kMigrationRestartDelay;
     }
     return crashed;
   }
@@ -941,16 +941,16 @@ class ElasticRun {
     const std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
     const auto durable_put = [&](const std::string& blob,
                                  const std::vector<std::uint8_t>& bytes) {
-      for (std::uint32_t attempt = 1;
-           attempt <= config_.migration.max_attempts; ++attempt) {
+      for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
+           ++attempt) {
         now += config_.migration.ship_latency;
         if (!op_fails(now, rng)) {
           dst.backend.write(blob, bytes);
           if (dst.backend.sync(blob)) return true;
         }
-        if (attempt < config_.migration.max_attempts) {
+        if (attempt < kMigrationMaxAttempts) {
           ++migration_retries_;
-          now += migration_backoff(config_.migration, attempt);
+          now += migration_backoff(attempt);
         }
       }
       return false;
@@ -980,16 +980,16 @@ class ElasticRun {
     }
     dst.owned.emplace(name, elastic_topic_config());
     bool folded = false;
-    for (std::uint32_t attempt = 1; attempt <= config_.migration.max_attempts;
+    for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
          ++attempt) {
-      now += config_.migration.checkpoint_latency;
+      now += config_.migration.fold_latency;
       if (!op_fails(now, rng) && dst.persistence->adopt(name)) {
         folded = true;
         break;
       }
-      if (attempt < config_.migration.max_attempts) {
+      if (attempt < kMigrationMaxAttempts) {
         ++migration_retries_;
-        now += migration_backoff(config_.migration, attempt);
+        now += migration_backoff(attempt);
       }
     }
     if (!folded) return rollback();

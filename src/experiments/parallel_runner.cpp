@@ -67,11 +67,11 @@ void ParallelRunner::run_jobs(std::size_t count,
   };
 
   const auto started = std::chrono::steady_clock::now();
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::min(threads_, count));
   {
     std::vector<std::jthread> helpers;
-    for (std::size_t t = 1; t < std::min(threads_, count); ++t) {
-      helpers.emplace_back(work);
-    }
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
     work();
   }  // the helpers join here
 
@@ -81,6 +81,7 @@ void ParallelRunner::run_jobs(std::size_t count,
   stats_.task_seconds = 0.0;
   for (const Slot& slot : slots) stats_.task_seconds += slot.cpu_seconds;
   stats_.jobs = count;
+  stats_.threads = threads;
   for (const Slot& slot : slots) {
     if (slot.error) std::rethrow_exception(slot.error);
   }

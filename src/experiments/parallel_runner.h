@@ -61,6 +61,8 @@ struct SweepStats {
   double wall_seconds = 0.0;
   double task_seconds = 0.0;
   std::size_t jobs = 0;
+  /// Threads the call ran on, the caller's included: min(cap, jobs), at
+  /// least 1. Before the first call, the runner's cap.
   std::size_t threads = 1;
 
   double speedup() const {

@@ -182,14 +182,13 @@ std::map<std::string, std::uint32_t> derive_owners(
   return initial;
 }
 
-SimDuration migration_backoff(const MigrationConfig& config,
-                              std::uint32_t retry) {
+SimDuration migration_backoff(std::uint32_t retry) {
   WAIF_CHECK(retry >= 1);
-  SimDuration backoff = config.backoff_base;
-  for (std::uint32_t i = 1; i < retry && backoff < config.backoff_cap; ++i) {
+  SimDuration backoff = kMigrationBackoffBase;
+  for (std::uint32_t i = 1; i < retry && backoff < kMigrationBackoffCap; ++i) {
     backoff *= 2;
   }
-  return std::min(backoff, config.backoff_cap);
+  return std::min(backoff, kMigrationBackoffCap);
 }
 
 bool read_node_lineage(const storage::StorageBackend& backend,

@@ -166,34 +166,37 @@ std::map<std::string, std::uint32_t> derive_owners(
     std::map<std::string, std::uint32_t> initial,
     const std::vector<MigrationRecord>& records);
 
-/// Deterministic sim-time costs and the storage retry policy of one
-/// migration. All latencies are protocol-clock charges (per moved topic,
-/// migrations at one boundary run concurrently), so the migration pause is
-/// a deterministic metric CI can put an absolute ceiling on.
+/// The fixed sim-time costs and storage retry policy of one migration. All
+/// latencies are protocol-clock charges (per moved topic, migrations at one
+/// boundary run concurrently), so the migration pause is a deterministic
+/// metric CI can put an absolute ceiling on.
+///
+/// One journal append.
+inline constexpr SimDuration kMigrationJournalLatency = 20 * kMillisecond;
+/// A crashed party's restart, charged to every migration it interrupts.
+inline constexpr SimDuration kMigrationRestartDelay = 2 * kSecond;
+/// Durable-step retry policy: attempts per step, exponential backoff (base
+/// doubles per retry, capped). Exhaustion before the flip aborts the
+/// migration; at or past the flip the protocol rolls forward anyway.
+inline constexpr std::uint32_t kMigrationMaxAttempts = 6;
+inline constexpr SimDuration kMigrationBackoffBase = 100 * kMillisecond;
+inline constexpr SimDuration kMigrationBackoffCap = 5 * kSecond;
+
+/// The migration latencies a fleet may stretch (the chaos fleets do, so
+/// migrations hold traffic for minutes).
 struct MigrationConfig {
-  /// One journal append.
-  SimDuration journal_latency = 20 * kMillisecond;
   /// One shipped blob (image or tail) written + synced on the destination.
   SimDuration ship_latency = 400 * kMillisecond;
   /// The destination's recovery replay of the shipped lineage.
   SimDuration replay_latency = 150 * kMillisecond;
   /// The destination's fold of the topic into its own WAL (one synced
   /// kAdopt record, required before the flip — see DESIGN.md §11).
-  SimDuration checkpoint_latency = 200 * kMillisecond;
-  /// A crashed party's restart, charged to every migration it interrupts.
-  SimDuration restart_delay = 2 * kSecond;
-
-  /// Durable-step retry policy: attempts per step, exponential backoff
-  /// (base doubles per retry, capped). Exhaustion before the flip aborts
-  /// the migration; at or past the flip the protocol rolls forward anyway.
-  std::uint32_t max_attempts = 6;
-  SimDuration backoff_base = 100 * kMillisecond;
-  SimDuration backoff_cap = 5 * kSecond;
+  SimDuration fold_latency = 200 * kMillisecond;
 };
 
-/// Backoff before retry number `retry` (1-based): min(cap, base * 2^(retry-1)).
-SimDuration migration_backoff(const MigrationConfig& config,
-                              std::uint32_t retry);
+/// Backoff before retry number `retry` (1-based):
+/// min(kMigrationBackoffCap, kMigrationBackoffBase * 2^(retry-1)).
+SimDuration migration_backoff(std::uint32_t retry);
 
 /// One topic's durable lineage extracted from a source backend: the newest
 /// valid snapshot's image of the topic (empty when the topic predates every

@@ -33,8 +33,7 @@ ProxyPersistence::~ProxyPersistence() {
 
 void ProxyPersistence::resume_from(const RecoveryResult& recovery) {
   writer_.reset_count(recovery.wal_records);
-  // Replay started at the newest snapshot's watermark (0 without one).
-  last_snapshot_watermark_ = recovery.wal_records - recovery.replayed;
+  last_snapshot_watermark_ = recovery.snapshot_watermark;
   if (recovery.from_snapshot) next_snapshot_seq_ = recovery.snapshot_seq + 1;
 }
 
@@ -398,6 +397,7 @@ RecoveryResult ProxyPersistence::recover(
   // Replay straight from the scan: the log is never held as records.
   const std::uint64_t watermark =
       result.from_snapshot ? base.watermark : 0;
+  result.snapshot_watermark = watermark;
   std::uint64_t index = 0;
   const WalScan wal = scan_wal(backend, kWalBlobName, [&](WalRecord& record) {
     if (index++ < watermark) return;

@@ -95,6 +95,8 @@ struct RecoveryResult {
   /// it via resume_from().
   ProxySnapshot state;
   std::uint64_t wal_records = 0;       // valid records in the log
+  /// Records the snapshot covers (0 without one): where replay started.
+  std::uint64_t snapshot_watermark = 0;
   std::uint64_t replayed = 0;          // records applied past the watermark
   bool from_snapshot = false;
   std::uint64_t snapshot_seq = 0;

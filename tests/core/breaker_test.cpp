@@ -233,74 +233,14 @@ TEST_F(BreakerTest, CrashProxySideResetsTheBreaker) {
   EXPECT_TRUE(channel.accepting());
 }
 
-// ------------------------------------------- migration hand-off (live carry)
-
-TEST_F(BreakerTest, LiveHandOffCarriesTheOpenBreakerAndSequenceCounter) {
-  // Regression: a topic migrated while its device's breaker is open must
-  // arrive on the new owner with the breaker still open and the sequence
-  // counter intact — re-closing on the flip would hammer a device the old
-  // owner already proved unresponsive (and reusing sequence numbers would
-  // poison the device's dedup window).
-  starve_acks(link);
-  ReliableDeviceChannel source(sim, link, device, breaker_config());
-  source.deliver(make(1));
-  source.deliver(make(2));
-  sim.run_until(4 * kMinute);
-  ASSERT_EQ(source.breaker_state(), BreakerState::kOpen);
-  const ChannelSnapshot carried = source.snapshot();
-  EXPECT_EQ(carried.breaker, static_cast<std::uint8_t>(BreakerState::kOpen));
-  EXPECT_GT(carried.next_seq, 1u);
-
-  // The destination node: its own simulator, link and device endpoint, as
-  // in a real cross-node migration.
-  sim::Simulator dst_sim;
-  net::Link dst_link{dst_sim};
-  device::Device dst_device{dst_sim, DeviceId{1}};
-  ReliableDeviceChannel dest(dst_sim, dst_link, dst_device, breaker_config());
-  dest.restore_live(carried);
-
-  EXPECT_EQ(dest.breaker_state(), BreakerState::kOpen);
-  EXPECT_FALSE(dest.accepting());
-  EXPECT_EQ(dest.snapshot().next_seq, carried.next_seq);
-
-  // The carried breaker armed a fresh cooldown on the new owner: it probes
-  // half-open after the full cooldown, not instantly and not never.
-  dst_sim.run_until(breaker_config().breaker_cooldown - kSecond);
-  EXPECT_EQ(dest.breaker_state(), BreakerState::kOpen);
-  dst_sim.run_until(breaker_config().breaker_cooldown + kSecond);
-  EXPECT_EQ(dest.breaker_state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(dest.accepting());
-}
-
-TEST_F(BreakerTest, LiveHandOffCarriesHalfOpenAsOpenWithFreshCooldown) {
-  starve_acks(link);
-  ReliableDeviceChannel source(sim, link, device, breaker_config());
-  source.deliver(make(1));
-  source.deliver(make(2));
-  sim.run_until(20 * kMinute);  // past the source cooldown
-  ASSERT_EQ(source.breaker_state(), BreakerState::kHalfOpen);
-
-  sim::Simulator dst_sim;
-  net::Link dst_link{dst_sim};
-  device::Device dst_device{dst_sim, DeviceId{1}};
-  ReliableDeviceChannel dest(dst_sim, dst_link, dst_device, breaker_config());
-  dest.restore_live(source.snapshot());
-
-  // Conservative shape: the new owner cannot see how much of the source's
-  // probe budget was spent, so it waits out its own full cooldown.
-  EXPECT_EQ(dest.breaker_state(), BreakerState::kOpen);
-  dst_sim.run_until(breaker_config().breaker_cooldown + kSecond);
-  EXPECT_EQ(dest.breaker_state(), BreakerState::kHalfOpen);
-}
+// ------------------------------------------------------- durable restore
 
 TEST_F(BreakerTest, PlainRestoreStillIgnoresCarriedBreakerFields) {
-  // The durable-image path is unchanged: restore() takes the sequence
-  // counter and dedup window but deliberately drops the breaker — a
-  // warm-started proxy re-learns a slow device from fresh evidence.
+  // The durable-image path: restore() takes the sequence counter and dedup
+  // window, and the breaker starts closed — a warm-started proxy re-learns
+  // a slow device from fresh evidence.
   ChannelSnapshot carried;
   carried.next_seq = 42;
-  carried.breaker = static_cast<std::uint8_t>(BreakerState::kOpen);
-  carried.consecutive_failures = 7;
 
   ReliableDeviceChannel channel(sim, link, device, breaker_config());
   channel.restore(carried);
@@ -308,21 +248,6 @@ TEST_F(BreakerTest, PlainRestoreStillIgnoresCarriedBreakerFields) {
   EXPECT_EQ(channel.consecutive_failures(), 0u);
   EXPECT_TRUE(channel.accepting());
   EXPECT_EQ(channel.snapshot().next_seq, 42u);
-}
-
-TEST_F(BreakerTest, LiveHandOffWithDisabledBreakerOnlyRestoresTransport) {
-  ChannelSnapshot carried;
-  carried.next_seq = 9;
-  carried.breaker = static_cast<std::uint8_t>(BreakerState::kOpen);
-  carried.consecutive_failures = 3;
-
-  // Destination configured without a breaker: restore_live must not invent
-  // one (threshold 0 keeps the legacy always-accepting behaviour).
-  ReliableDeviceChannel channel(sim, link, device, exact_config());
-  channel.restore_live(carried);
-  EXPECT_EQ(channel.breaker_state(), BreakerState::kClosed);
-  EXPECT_TRUE(channel.accepting());
-  EXPECT_EQ(channel.snapshot().next_seq, 9u);
 }
 
 TEST_F(BreakerTest, DisabledBreakerNeverTrips) {

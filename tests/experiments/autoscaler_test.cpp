@@ -9,8 +9,8 @@
 
 #include "common/time.h"
 #include "core/health.h"
-#include "experiments/autoscale_chaos.h"
 #include "experiments/chaos_schedule.h"
+#include "experiments/elastic_chaos.h"
 #include "experiments/elastic_fleet.h"
 #include "experiments/invariant_monitor.h"
 #include "experiments/parallel_runner.h"
@@ -362,7 +362,7 @@ TEST(AutoscalerTest, ClosedLoopGrowsUnderAFlashCrowd) {
   spike.seed = 5;
   schedule.faults.push_back(spike);
 
-  const AutoscaleChaosOutcome outcome = run_autoscale_chaos(schedule);
+  const ElasticChaosOutcome outcome = run_elastic_chaos(schedule);
   EXPECT_TRUE(outcome.ok()) << (outcome.violations.empty()
                                     ? ""
                                     : outcome.violations.front().detail);
@@ -386,7 +386,7 @@ TEST(AutoscalerTest, FaultedMigrationStorageEngagesTheLadder) {
   spike.seed = 9;
   schedule.faults.push_back(spike);
 
-  const AutoscaleChaosOutcome outcome = run_autoscale_chaos(schedule);
+  const ElasticChaosOutcome outcome = run_elastic_chaos(schedule);
   EXPECT_TRUE(outcome.ok()) << (outcome.violations.empty()
                                     ? ""
                                     : outcome.violations.front().detail);
@@ -419,7 +419,7 @@ TEST(AutoscalerTest, CalmScheduleKeepsTheDigestCheckable) {
   spike.seed = 3;
   schedule.faults.push_back(spike);
 
-  const AutoscaleChaosOutcome outcome = run_autoscale_chaos(schedule);
+  const ElasticChaosOutcome outcome = run_elastic_chaos(schedule);
   EXPECT_TRUE(outcome.ok()) << (outcome.violations.empty()
                                     ? ""
                                     : outcome.violations.front().detail);

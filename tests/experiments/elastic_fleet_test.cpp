@@ -28,7 +28,7 @@ ElasticFleetConfig small_elastic() {
   // exercising the hold-then-drain path, not just the quiet flip.
   config.migration.ship_latency = 40 * kMinute;
   config.migration.replay_latency = 10 * kMinute;
-  config.migration.checkpoint_latency = 10 * kMinute;
+  config.migration.fold_latency = 10 * kMinute;
   return config;
 }
 

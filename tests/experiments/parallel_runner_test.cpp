@@ -150,6 +150,21 @@ TEST(ParallelRunnerTest, MapReturnsIndexedResults) {
   EXPECT_EQ(runner.last_stats().threads, 4u);
 }
 
+TEST(ParallelRunnerTest, StatsReportTheThreadsACallUsed) {
+  // A call runs on min(cap, jobs) threads, the caller's included, and its
+  // stats say so; thread_count() stays the cap.
+  ParallelRunner eight(8);
+  eight.map(3, [](std::size_t i) { return i; });
+  EXPECT_EQ(eight.last_stats().threads, 3u);
+  EXPECT_EQ(eight.thread_count(), 8u);
+  ParallelRunner four(4);
+  four.map(100, [](std::size_t i) { return i; });
+  EXPECT_EQ(four.last_stats().threads, 4u);
+  ParallelRunner one(1);
+  one.map(5, [](std::size_t i) { return i; });
+  EXPECT_EQ(one.last_stats().threads, 1u);
+}
+
 TEST(ParallelRunnerTest, StatsAccountWallAndTaskTime) {
   ParallelRunner runner(2);
   runner.compare(sample_sweep());

@@ -10,10 +10,6 @@
 #include "core/channel.h"
 #include "core/forwarding_policy.h"
 #include "core/proxy.h"
-#include "core/reliable_channel.h"
-#include "device/device.h"
-#include "net/fault.h"
-#include "net/link.h"
 #include "pubsub/notification.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
@@ -193,15 +189,16 @@ TEST(ShardMigrationTest, LatestRecordsKeepTheNewestStagePerMigration) {
 }
 
 TEST(ShardMigrationTest, BackoffDoublesFromBaseAndCaps) {
-  MigrationConfig config;
-  config.backoff_base = 100 * kMillisecond;
-  config.backoff_cap = 1 * kSecond;
-  EXPECT_EQ(migration_backoff(config, 1), 100 * kMillisecond);
-  EXPECT_EQ(migration_backoff(config, 2), 200 * kMillisecond);
-  EXPECT_EQ(migration_backoff(config, 3), 400 * kMillisecond);
-  EXPECT_EQ(migration_backoff(config, 4), 800 * kMillisecond);
-  EXPECT_EQ(migration_backoff(config, 5), 1 * kSecond);
-  EXPECT_EQ(migration_backoff(config, 12), 1 * kSecond);
+  static_assert(kMigrationBackoffBase == 100 * kMillisecond);
+  static_assert(kMigrationBackoffCap == 5 * kSecond);
+  EXPECT_EQ(migration_backoff(1), kMigrationBackoffBase);
+  EXPECT_EQ(migration_backoff(2), 200 * kMillisecond);
+  EXPECT_EQ(migration_backoff(3), 400 * kMillisecond);
+  EXPECT_EQ(migration_backoff(4), 800 * kMillisecond);
+  EXPECT_EQ(migration_backoff(5), 1600 * kMillisecond);
+  EXPECT_EQ(migration_backoff(6), 3200 * kMillisecond);
+  EXPECT_EQ(migration_backoff(7), kMigrationBackoffCap);
+  EXPECT_EQ(migration_backoff(12), kMigrationBackoffCap);
 }
 
 /// Drives a real proxy + persistence, then round-trips one topic through
@@ -479,84 +476,6 @@ TEST(ShardMigrationTest, NodeLineageBucketsTheLogPastTheNewestSnapshot) {
     EXPECT_EQ(encode_wal_tail(picked.tail), encode_wal_tail(tail)) << topic;
   }
 }
-
-// --- the open-breaker victim ------------------------------------------------
-//
-// Extends the crash-point sweep (elastic_fleet_test.cpp: 6 stages x 3 crash
-// victims) with a 4th victim shape: the migrating topic's device holds an
-// OPEN circuit breaker when the migration reaches each stage. The resume
-// rule decides who owns the channel afterwards — rolled back means the
-// source keeps it untouched, rolled forward means the destination inherits
-// it via restore_live — and in both cases the breaker must still be open
-// (never silently re-closed by the flip).
-
-class OpenBreakerVictimTest
-    : public ::testing::TestWithParam<MigrationStage> {};
-
-TEST_P(OpenBreakerVictimTest, BreakerSurvivesTheResolvedMigration) {
-  const MigrationStage stage = GetParam();
-
-  // Source node: starve ACKs until the device's breaker trips open.
-  sim::Simulator src_sim;
-  net::Link src_link{src_sim};
-  device::Device src_device{src_sim, DeviceId{1}};
-  net::FaultConfig starve;
-  starve.uplink_drop_probability = 1.0;
-  src_link.set_fault_model(starve, /*seed=*/7);
-  core::ReliableChannelConfig channel_config;
-  channel_config.jitter = 0.0;
-  channel_config.ack_timeout = 30 * kSecond;
-  channel_config.max_attempts = 2;
-  channel_config.breaker_failure_threshold = 2;
-  core::ReliableDeviceChannel source(src_sim, src_link, src_device,
-                                     channel_config);
-  auto notify = [](std::uint64_t id) {
-    auto event = std::make_shared<pubsub::Notification>();
-    event->id = NotificationId{id};
-    event->topic = "t";
-    event->rank = 1.0;
-    return event;
-  };
-  source.deliver(notify(1));
-  source.deliver(notify(2));
-  src_sim.run_until(4 * kMinute);
-  ASSERT_EQ(source.breaker_state(), core::BreakerState::kOpen);
-  const core::ChannelSnapshot carried = source.snapshot();
-
-  // Destination node, fresh channel.
-  sim::Simulator dst_sim;
-  net::Link dst_link{dst_sim};
-  device::Device dst_device{dst_sim, DeviceId{1}};
-  core::ReliableDeviceChannel dest(dst_sim, dst_link, dst_device,
-                                   channel_config);
-
-  // The migration died at `stage`; apply the resume rule.
-  const MigrationResume action = migration_resume_action(stage);
-  if (action == MigrationResume::kRollForward) {
-    dest.restore_live(carried);
-    // The new owner inherits the open breaker and the sequence counter.
-    EXPECT_EQ(dest.breaker_state(), core::BreakerState::kOpen)
-        << migration_stage_name(stage);
-    EXPECT_FALSE(dest.accepting());
-    EXPECT_EQ(dest.snapshot().next_seq, carried.next_seq);
-  } else {
-    ASSERT_EQ(action, MigrationResume::kRollBack);
-    // Rolled back: the source keeps the channel, breaker still open.
-    EXPECT_EQ(source.breaker_state(), core::BreakerState::kOpen)
-        << migration_stage_name(stage);
-    EXPECT_FALSE(source.accepting());
-    EXPECT_EQ(dest.breaker_state(), core::BreakerState::kClosed);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EveryStage, OpenBreakerVictimTest,
-    ::testing::Values(MigrationStage::kPlanned, MigrationStage::kQuiesced,
-                      MigrationStage::kShipped, MigrationStage::kReplayed,
-                      MigrationStage::kFlipped, MigrationStage::kDrained),
-    [](const ::testing::TestParamInfo<MigrationStage>& stage) {
-      return std::string(migration_stage_name(stage.param));
-    });
 
 }  // namespace
 }  // namespace waif::experiments

@@ -7,6 +7,7 @@
 // identical pop order, identical next_time() at every step, and identical
 // cancel/size semantics. Any divergence in the queue's ordering, lazy
 // cancellation or live count shows up here within a few hundred operations.
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -82,6 +83,14 @@ class LockstepDriver {
   std::size_t next_tag_ = 0;
 };
 
+/// `clock + offset`, saturated at kNever - 1: once a kNever outlier has
+/// popped, the clock sits just below INT64_MAX and the plain sum would
+/// overflow.
+SimTime later(SimTime clock, std::uint64_t offset) {
+  const auto room = static_cast<std::uint64_t>(kNever - 1 - clock);
+  return clock + static_cast<SimTime>(std::min(offset, room));
+}
+
 /// One randomized interleaving: mixes schedules (several time regimes),
 /// cancels (including just-scheduled and about-to-pop entries) and pops.
 void run_random_interleaving(std::uint64_t seed, int operations) {
@@ -97,11 +106,11 @@ void run_random_interleaving(std::uint64_t seed, int operations) {
       SimTime when = clock;
       const std::uint64_t regime = rng.next_below(10);
       if (regime < 3) {
-        when = clock + static_cast<SimTime>(rng.next_below(4));  // duplicates
+        when = later(clock, rng.next_below(4));  // duplicates
       } else if (regime < 7) {
-        when = clock + static_cast<SimTime>(rng.next_below(1000));
+        when = later(clock, rng.next_below(1000));
       } else if (regime < 9) {
-        when = clock + static_cast<SimTime>(rng.next_below(1'000'000'000));
+        when = later(clock, rng.next_below(1'000'000'000));
       } else {
         when = kNever - static_cast<SimTime>(rng.next_below(3)) - 1;
       }

@@ -30,6 +30,7 @@
 #include "core/proxy.h"
 #include "experiments/chaos_schedule.h"
 #include "experiments/shard_migration.h"
+#include "pubsub/notification.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
 #include "storage/fault.h"
@@ -409,6 +410,60 @@ TEST(AdoptRecovery, TornAdoptFrameIsTruncatedAway) {
   EXPECT_EQ(recovery.wal_records, records);
   EXPECT_EQ(dest.backend.size(storage::kWalBlobName), before);
   EXPECT_EQ(recovered(recovery, "tA"), nullptr);
+}
+
+
+// --- the resumed checkpoint cadence ------------------------------------------
+
+/// Grows a log on `node` (a snapshot when `snapshot`, then `acks` device
+/// ACKs and more notifications in its tail), recovers it, resumes a log
+/// with a checkpoint every `interval` records, and appends ACKs until that
+/// log checkpoints. Returns how many records past the recovered snapshot's
+/// watermark (0 without a snapshot) the checkpoint landed.
+std::uint64_t first_checkpoint_after_resume(bool snapshot, int acks,
+                                            std::uint64_t interval) {
+  Node node("node");
+  node.proxy.add_topic("tA", online_config());
+  node.publish("tA", 1, 4, 10 * kSecond);
+  std::uint64_t watermark = 0;
+  if (snapshot) {
+    EXPECT_TRUE(node.persistence.snapshot_now());
+    watermark = node.persistence.record_count();
+  }
+  auto acked = std::make_shared<pubsub::Notification>();
+  acked->id = NotificationId{1};
+  acked->topic = "tA";
+  for (int i = 0; i < acks; ++i) node.persistence.on_device_ack(acked);
+  node.publish("tA", 5, 2, 20 * kSecond);
+
+  const storage::RecoveryResult recovery =
+      storage::ProxyPersistence::recover(node.backend, configs_for({"tA"}));
+  EXPECT_EQ(recovery.from_snapshot, snapshot);
+  EXPECT_GT(recovery.replayed, 0u);
+
+  sim::Simulator sim;
+  NullChannel channel;
+  core::Proxy proxy(sim, channel, "resumed");
+  proxy.add_topic("tA", online_config());
+  storage::PersistenceConfig config;
+  config.snapshot_interval = interval;
+  storage::ProxyPersistence persistence(sim, node.backend, config);
+  persistence.resume_from(recovery);
+  persistence.attach(proxy);
+  while (persistence.stats().snapshots == 0) {
+    persistence.on_device_ack(acked);
+    sim.run();  // the requested checkpoint runs as its own event
+  }
+  return persistence.record_count() - watermark;
+}
+
+TEST(ResumeCadence, NextCheckpointCountsFromTheSnapshotWatermark) {
+  // Regression: resume_from took the snapshot's watermark to be
+  // wal_records - replayed, but recovery skips the ACKs in the tail, so a
+  // tail with k ACKs put the next checkpoint k records late.
+  EXPECT_EQ(first_checkpoint_after_resume(true, 5, 16), 16u);
+  // Without a snapshot the cadence counts from record 0.
+  EXPECT_EQ(first_checkpoint_after_resume(false, 5, 64), 64u);
 }
 
 }  // namespace
