@@ -87,7 +87,8 @@ struct GroupTotals {
   std::uint64_t rejects = 0;
   std::uint64_t trips = 0;
   std::uint64_t image_checks = 0;
-  std::uint64_t reads = 0;
+  std::uint64_t reads = 0;   // user reads (last-hop runs)
+  std::uint64_t drains = 0;  // mailbox drains (elastic runs)
 };
 
 }  // namespace
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
       "admission + breaker armed; every cell must pass all invariants)",
       "intensity / faults / kinds",
       {"runs", "faults", "crashes", "failovers", "shed", "rejects", "trips",
-       "img-chk", "reads"});
+       "img-chk", "reads", "drains"});
 
   std::uint64_t total_violations = 0;
   std::uint64_t total_image_checks = 0;
@@ -176,6 +177,7 @@ int main(int argc, char** argv) {
       totals.trips += outcome.breaker_trips;
       totals.image_checks += outcome.image_checks;
       totals.reads += outcome.total_read;
+      totals.drains += outcome.drained;
     }
     table.add_row(shapes[s].label,
                   {static_cast<double>(totals.runs),
@@ -186,7 +188,8 @@ int main(int argc, char** argv) {
                    static_cast<double>(totals.rejects),
                    static_cast<double>(totals.trips),
                    static_cast<double>(totals.image_checks),
-                   static_cast<double>(totals.reads)});
+                   static_cast<double>(totals.reads),
+                   static_cast<double>(totals.drains)});
   }
 
   report.metric("schedules", static_cast<double>(cells.size()));

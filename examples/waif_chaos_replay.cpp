@@ -47,8 +47,8 @@ namespace {
 
 void print_outcome(const ChaosOutcome& outcome) {
   std::printf(
-      "run: %llu arrivals, %llu reads over %llu operations, digest "
-      "%016llx\n"
+      "run: %llu arrivals, %llu reads over %llu operations, %llu drains, "
+      "digest %016llx\n"
       "faults: %llu applied, %llu skipped — %llu crashes (%llu machine), "
       "%llu restarts, %llu failovers, %llu WAL repairs\n"
       "protection: %llu shed (%llu journaled), %llu admission rejects, "
@@ -57,6 +57,7 @@ void print_outcome(const ChaosOutcome& outcome) {
       static_cast<unsigned long long>(outcome.arrivals),
       static_cast<unsigned long long>(outcome.total_read),
       static_cast<unsigned long long>(outcome.read_operations),
+      static_cast<unsigned long long>(outcome.drained),
       static_cast<unsigned long long>(outcome.read_digest),
       static_cast<unsigned long long>(outcome.faults_applied),
       static_cast<unsigned long long>(outcome.faults_skipped),

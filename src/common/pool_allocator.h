@@ -15,15 +15,23 @@
 //     of any other size (e.g. a hash table's bucket array) fall through to
 //     the global heap, so the arena never has to split or coalesce;
 //   * shared ownership — PoolAllocator holds the arena via shared_ptr, so
-//     allocator copies inside containers and out-living handles keep the
-//     slabs alive until the last node is gone.
+//     allocator copies inside containers keep the slabs alive until the last
+//     node is gone.
+//
+// A default-constructed PoolAllocator makes an arena of its own, so a
+// default-constructed container gets one arena — one size class — to itself:
+// PooledHashMap<std::uint64_t, V> m; is all a pooled index needs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace waif {
@@ -112,6 +120,9 @@ class PoolAllocator {
  public:
   using value_type = T;
 
+  /// An allocator over a fresh arena of its own.
+  PoolAllocator() : arena_(std::make_shared<PoolArena>()) {}
+
   explicit PoolAllocator(std::shared_ptr<PoolArena> arena)
       : arena_(std::move(arena)) {}
 
@@ -140,5 +151,14 @@ class PoolAllocator {
  private:
   std::shared_ptr<PoolArena> arena_;
 };
+
+/// Hash containers whose nodes come from an arena of their own.
+template <typename Key, typename Value>
+using PooledHashMap =
+    std::unordered_map<Key, Value, std::hash<Key>, std::equal_to<Key>,
+                       PoolAllocator<std::pair<const Key, Value>>>;
+template <typename Key>
+using PooledHashSet = std::unordered_set<Key, std::hash<Key>,
+                                         std::equal_to<Key>, PoolAllocator<Key>>;
 
 }  // namespace waif

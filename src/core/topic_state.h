@@ -23,11 +23,11 @@
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/moving_stats.h"
+#include "common/pool_allocator.h"
 #include "common/time.h"
 #include "core/channel.h"
 #include "core/forwarding_policy.h"
@@ -360,18 +360,22 @@ class TopicState {
   std::string topic_;
   TopicConfig config_;
 
+  // The per-message containers below take their nodes from arenas of their
+  // own (common/pool_allocator.h), as RankedQueue's do, so a warm NOTIFICATION
+  // allocates nothing. An allocator does not change a hash container's
+  // iteration order, and write_image sorts its id lists anyway.
   RankedQueue outgoing_;
   RankedQueue prefetch_;
   RankedQueue holding_;
-  std::unordered_map<std::uint64_t, DelayedEvent> pending_delay_;
+  PooledHashMap<std::uint64_t, DelayedEvent> pending_delay_;
 
   /// topic.history: every event seen, id -> latest copy (bounded FIFO).
-  std::unordered_map<std::uint64_t, pubsub::NotificationPtr> history_;
+  PooledHashMap<std::uint64_t, pubsub::NotificationPtr> history_;
   std::deque<std::uint64_t> history_order_;
   /// topic.forwarded: ids ever sent to the device.
-  std::unordered_set<std::uint64_t> forwarded_;
+  PooledHashSet<std::uint64_t> forwarded_;
   /// Pending expiration timers, cancelled when an event leaves all queues.
-  std::unordered_map<std::uint64_t, ExpirationTimer> expiration_timers_;
+  PooledHashMap<std::uint64_t, ExpirationTimer> expiration_timers_;
   /// READ/sync ids already processed (idempotence under retransmission).
   std::unordered_set<std::uint64_t> seen_read_ids_;
   std::unordered_set<std::uint64_t> seen_sync_ids_;

@@ -33,8 +33,7 @@ bool Device::receive(const NotificationPtr& notification) {
   if (held_topic != topic_of_.end()) {
     ++stats_.rank_updates;
     ++stats_.duplicate_receives;
-    RankedQueue* queue = queue_for(held_topic->second);
-    WAIF_CHECK(queue != nullptr);
+    RankedQueue* queue = held_topic->second;
     if (below_threshold) {
       // Retraction: the earlier transfer is now pure waste; free the buffer.
       NotificationPtr removed = queue->erase(notification->id);
@@ -56,8 +55,9 @@ bool Device::receive(const NotificationPtr& notification) {
     ++stats_.retracted;
     return true;
   }
-  held_[notification->topic].insert(notification);
-  topic_of_.emplace(notification->id.value, notification->topic);
+  RankedQueue& queue = held_[notification->topic];
+  queue.insert(notification);
+  topic_of_.emplace(notification->id.value, &queue);
   ++total_held_;
   if (notification->expires()) {
     expiry_index_.emplace(notification->expires_at, notification->id.value);
@@ -145,9 +145,7 @@ std::size_t Device::queue_size() {
 std::optional<double> Device::rank_of(NotificationId id) const {
   auto held_topic = topic_of_.find(id.value);
   if (held_topic == topic_of_.end()) return std::nullopt;
-  auto queue = held_.find(held_topic->second);
-  WAIF_CHECK(queue != held_.end());
-  const NotificationPtr notification = queue->second.find(id);
+  const NotificationPtr notification = held_topic->second->find(id);
   WAIF_CHECK(notification != nullptr);
   return notification->rank;
 }
@@ -168,9 +166,7 @@ void Device::purge_expired() {
     expiry_index_.erase(expiry_index_.begin());
     auto held_topic = topic_of_.find(id.value);
     if (held_topic == topic_of_.end()) continue;
-    RankedQueue* queue = queue_for(held_topic->second);
-    WAIF_CHECK(queue != nullptr);
-    if (queue->erase(id) != nullptr) {
+    if (held_topic->second->erase(id) != nullptr) {
       topic_of_.erase(held_topic);
       --total_held_;
       ++stats_.expired_unread;
@@ -211,9 +207,7 @@ void Device::forget_expiry(const NotificationPtr& notification) {
 void Device::remove(const NotificationPtr& notification) {
   auto held_topic = topic_of_.find(notification->id.value);
   if (held_topic == topic_of_.end()) return;
-  RankedQueue* queue = queue_for(held_topic->second);
-  WAIF_CHECK(queue != nullptr);
-  if (queue->erase(notification->id) != nullptr) {
+  if (held_topic->second->erase(notification->id) != nullptr) {
     forget_expiry(notification);
     topic_of_.erase(held_topic);
     --total_held_;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/pool_allocator.h"
 #include "common/time.h"
 #include "pubsub/notification.h"
 #include "pubsub/ranked_queue.h"
@@ -128,16 +130,23 @@ class Device {
   std::vector<pubsub::NotificationPtr> take_top(pubsub::RankedQueue& queue,
                                                 int n, double threshold);
 
+  using Expiry = std::pair<SimTime, std::uint64_t>;
+
   sim::Simulator& sim_;
   DeviceId id_;
   DeviceConfig config_;
-  /// Unread notifications, one rank-ordered queue per topic.
+  /// Unread notifications, one rank-ordered queue per topic. Never erased
+  /// from, so a queue keeps its address and topic_of_ may point at it.
   std::map<std::string, pubsub::RankedQueue> held_;
-  /// id -> topic, for O(1) membership and rank updates.
-  std::map<std::uint64_t, std::string> topic_of_;
+  // The two indexes below draw their nodes from arenas of their own, so a
+  // warm receive/read cycle allocates nothing.
+  /// id -> the queue holding it, for membership and rank updates.
+  std::map<std::uint64_t, pubsub::RankedQueue*, std::less<>,
+           PoolAllocator<std::pair<const std::uint64_t, pubsub::RankedQueue*>>>
+      topic_of_;
   /// (expires_at, id) for every held expiring message; the front is the next
   /// message to expire, making the lazy purge cheap.
-  std::set<std::pair<SimTime, std::uint64_t>> expiry_index_;
+  std::set<Expiry, std::less<>, PoolAllocator<Expiry>> expiry_index_;
   /// Per-topic qualitative limits for retraction handling.
   std::map<std::string, double> topic_thresholds_;
   std::size_t total_held_ = 0;

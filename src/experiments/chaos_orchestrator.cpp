@@ -955,7 +955,7 @@ ChaosOutcome fold_elastic(const ElasticChaosOutcome& run) {
   ChaosOutcome outcome;
   outcome.read_digest = elastic.digest;
   outcome.arrivals = elastic.publishes_routed;
-  outcome.total_read = elastic.drained;
+  outcome.drained = elastic.drained;
   outcome.read_operations = elastic.deliveries;
   outcome.faults_applied = run.faults_applied;
   outcome.faults_skipped = run.faults_skipped;

@@ -33,7 +33,11 @@ struct ChaosOutcome {
 
   // --- workload ---------------------------------------------------------------
   std::uint64_t arrivals = 0;
+  /// Messages users read (0 on an elastic run, whose devices are counts).
   std::uint64_t total_read = 0;
+  /// Elastic runs only: messages drained from per-(topic, subscriber)
+  /// mailboxes. Covered by read_digest, so digest() does not fold it again.
+  std::uint64_t drained = 0;
   std::uint64_t read_operations = 0;
   std::uint64_t duplicate_user_reads = 0;
 

@@ -47,6 +47,8 @@ struct TopicRow {
   std::uint64_t deliveries = 0;
   std::uint64_t overflow_drops = 0;
   std::uint64_t drained = 0;
+  /// Drain ticks cell outages froze, counted when a delivery settles them.
+  std::uint64_t frozen_ticks = 0;
   std::uint64_t last_seq = 0;
   std::uint64_t seq_violations = 0;
 };
@@ -93,9 +95,10 @@ class ElasticFanout final : public core::DeviceChannel {
         std::uint64_t ticks =
             static_cast<std::uint64_t>(bucket - box.drain_bucket);
         if (!outages_.empty()) {
-          const std::uint64_t blocked =
-              blocked_ticks(subscribers[i], box.drain_bucket, bucket);
-          ticks = ticks > blocked ? ticks - blocked : 0;
+          const std::uint64_t blocked = std::min(
+              ticks, blocked_ticks(subscribers[i], box.drain_bucket, bucket));
+          ticks -= blocked;
+          row.frozen_ticks += blocked;
         }
         const std::uint64_t can_drain = ticks * config_.drain_batch;
         const auto drained = static_cast<std::uint32_t>(
@@ -1133,6 +1136,7 @@ class ElasticRun {
       out.deliveries += rows_[t].deliveries;
       out.overflow_drops += rows_[t].overflow_drops;
       out.drained += rows_[t].drained;
+      out.frozen_ticks += rows_[t].frozen_ticks;
       out.seq_violations += rows_[t].seq_violations;
     }
     for (const auto& node : nodes_) {
@@ -1176,6 +1180,8 @@ class ElasticRun {
       fold(digest, row.drained);
       fold(digest, row.last_seq);
       fold(digest, row.seq_violations);
+      // Only when nonzero, so a run without cell outages keeps its digest.
+      if (row.frozen_ticks != 0) fold(digest, row.frozen_ticks);
       for (const Mailbox& box : boxes_[t]) {
         fold(digest, (static_cast<std::uint64_t>(box.queued) << 32) |
                          box.drain_bucket);

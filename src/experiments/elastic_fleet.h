@@ -214,6 +214,10 @@ struct ElasticOutcome {
   std::uint64_t deliveries = 0;
   std::uint64_t overflow_drops = 0;
   std::uint64_t drained = 0;
+  /// Mailbox drain ticks frozen by cell outages. A stall that ends before
+  /// the horizon only delays drains the next delivery catches up on, so
+  /// this count (folded into the digest when nonzero) is what shows it.
+  std::uint64_t frozen_ticks = 0;
   std::uint64_t seq_violations = 0;
 
   // Durability totals, summed over every node incarnation (crashed and

@@ -74,9 +74,7 @@ bool Broker::update_rank(PublisherId publisher, NotificationId id,
                          double new_rank) {
   auto topic_it = id_to_topic_.find(id.value);
   if (topic_it == id_to_topic_.end()) return false;
-  auto entry_it = topics_.find(topic_it->second);
-  WAIF_CHECK(entry_it != topics_.end());
-  TopicEntry& entry = entry_it->second;
+  TopicEntry& entry = *topic_it->second;
 
   auto original_it =
       std::find_if(entry.history.begin(), entry.history.end(),
@@ -99,7 +97,7 @@ SubscriptionId Broker::subscribe(const std::string& topic,
                                  SubscriptionOptions options) {
   const SubscriptionId id{next_subscription_++};
   topics_[topic].subscriptions.push_back(
-      SubscriptionRecord{id, topic, &subscriber, options});
+      SubscriptionRecord{id, &subscriber, options});
   return id;
 }
 
@@ -129,9 +127,7 @@ std::size_t Broker::subscriber_count(const std::string& topic) const {
 NotificationPtr Broker::find(NotificationId id) const {
   auto topic_it = id_to_topic_.find(id.value);
   if (topic_it == id_to_topic_.end()) return nullptr;
-  auto entry_it = topics_.find(topic_it->second);
-  if (entry_it == topics_.end()) return nullptr;
-  const auto& history = entry_it->second.history;
+  const auto& history = topic_it->second->history;
   auto it = std::find_if(history.begin(), history.end(),
                          [&](const NotificationPtr& n) { return n->id == id; });
   return it == history.end() ? nullptr : *it;
@@ -147,17 +143,23 @@ const SubscriptionOptions& Broker::options(SubscriptionId id) const {
 }
 
 void Broker::route(TopicEntry& entry, const NotificationPtr& notification) {
-  // Iterate over a copy: a subscriber callback may (un)subscribe reentrantly.
-  const auto subscriptions = entry.subscriptions;
-  for (const auto& record : subscriptions) {
-    record.subscriber->on_notification(notification);
+  // Route to the subscribers of this moment: a callback may (un)subscribe
+  // or publish reentrantly, and a nested route works above `end`.
+  const std::size_t begin = route_stack_.size();
+  for (const SubscriptionRecord& record : entry.subscriptions) {
+    route_stack_.push_back(record.subscriber);
+  }
+  const std::size_t end = route_stack_.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    route_stack_[i]->on_notification(notification);
     ++stats_.deliveries;
   }
+  route_stack_.resize(begin);
 }
 
 void Broker::remember(TopicEntry& entry, const NotificationPtr& notification) {
   entry.history.push_back(notification);
-  id_to_topic_.emplace(notification->id.value, notification->topic);
+  id_to_topic_.emplace(notification->id.value, &entry);
   if (entry.history.size() > history_limit_) {
     id_to_topic_.erase(entry.history.front()->id.value);
     entry.history.pop_front();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/pool_allocator.h"
 #include "pubsub/notification.h"
 #include "pubsub/subscriber.h"
 #include "pubsub/subscription.h"
@@ -91,7 +92,6 @@ class Broker {
  private:
   struct SubscriptionRecord {
     SubscriptionId id;
-    std::string topic;
     Subscriber* subscriber;
     SubscriptionOptions options;
   };
@@ -107,10 +107,18 @@ class Broker {
 
   sim::Simulator& sim_;
   std::size_t history_limit_;
+  /// Never erased from, and a node keeps its address across rehashes, so
+  /// the id index below may point into it.
   std::unordered_map<std::string, TopicEntry> topics_;
   std::unordered_map<std::uint64_t, std::string> publisher_names_;
-  /// id -> topic, for rank-update lookup across topics.
-  std::unordered_map<std::uint64_t, std::string> id_to_topic_;
+  /// id -> topic of every retained notification, for rank-update lookup
+  /// across topics.
+  PooledHashMap<std::uint64_t, TopicEntry*> id_to_topic_;
+  /// The subscribers of every route in progress, innermost last: a route
+  /// pushes its topic's subscribers at the start and pops them at the end,
+  /// so a subscription change during the route reaches only later routes,
+  /// and a publish from inside a callback routes on its own slice above.
+  std::vector<Subscriber*> route_stack_;
   std::uint64_t next_publisher_ = 1;
   std::uint64_t next_notification_ = 1;
   std::uint64_t next_subscription_ = 1;

@@ -9,14 +9,6 @@ namespace waif::pubsub {
 using pubsub::NotificationPtr;
 using pubsub::RankHigher;
 
-RankedQueue::RankedQueue()
-    : ordered_arena_(std::make_shared<PoolArena>()),
-      index_arena_(std::make_shared<PoolArena>()),
-      ordered_(RankHigher{}, PoolAllocator<NotificationPtr>(ordered_arena_)),
-      index_(0, std::hash<std::uint64_t>{}, std::equal_to<std::uint64_t>{},
-             PoolAllocator<std::pair<const std::uint64_t, Ordered::iterator>>(
-                 index_arena_)) {}
-
 bool RankedQueue::insert(const NotificationPtr& notification) {
   WAIF_CHECK(notification != nullptr);
   auto indexed = index_.find(notification->id.value);

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -20,7 +19,7 @@ namespace waif::pubsub {
 
 class RankedQueue {
  public:
-  RankedQueue();
+  RankedQueue() = default;
   // The id index holds iterators into ordered_; a memberwise copy/move would
   // leave them pointing into the source queue. Nothing copies whole queues —
   // callers copy contents (snapshot/restore) — so forbid it outright.
@@ -71,15 +70,9 @@ class RankedQueue {
   // arena because an arena serves exactly one size class.
   using Ordered = std::set<pubsub::NotificationPtr, pubsub::RankHigher,
                            PoolAllocator<pubsub::NotificationPtr>>;
-  using Index = std::unordered_map<
-      std::uint64_t, Ordered::iterator, std::hash<std::uint64_t>,
-      std::equal_to<std::uint64_t>,
-      PoolAllocator<std::pair<const std::uint64_t, Ordered::iterator>>>;
 
-  std::shared_ptr<PoolArena> ordered_arena_;
-  std::shared_ptr<PoolArena> index_arena_;
   Ordered ordered_;
-  Index index_;
+  PooledHashMap<std::uint64_t, Ordered::iterator> index_;
 };
 
 /// The up-to-`n` highest-ranked notifications (rank >= threshold) across

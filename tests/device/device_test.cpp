@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/time.h"
 #include "sim/simulator.h"
@@ -191,6 +192,105 @@ TEST_F(DeviceTest, ThresholdsArePerTopic) {
   EXPECT_FALSE(device.contains(NotificationId{1}));  // below strict threshold
   device.receive(make(2, 3.0));  // topic "t": no threshold registered
   EXPECT_TRUE(device.contains(NotificationId{2}));
+}
+
+// The id index maps each held message to its topic's queue. These walk every
+// path that goes through it — rank update, retraction, expiry purge and
+// eviction — with messages spread over several long-named topics, so a
+// message found under the wrong topic would show.
+pubsub::NotificationPtr on_topic(const std::string& topic, std::uint64_t id,
+                                 double rank, SimTime expires = kNever) {
+  auto n = std::make_shared<pubsub::Notification>();
+  n->id = NotificationId{id};
+  n->topic = topic;
+  n->rank = rank;
+  n->expires_at = expires;
+  return n;
+}
+
+const std::string kNews = "experiment/news-topic";
+const std::string kSports = "experiment/sports-topic";
+
+TEST_F(DeviceTest, RankUpdateReordersWithinItsOwnTopic) {
+  device.receive(on_topic(kNews, 1, 4.0));
+  device.receive(on_topic(kSports, 2, 3.0));
+  device.receive(on_topic(kNews, 3, 2.0));
+  device.receive(on_topic(kNews, 1, 1.0));  // rank update
+  EXPECT_EQ(device.stats().rank_updates, 1u);
+  EXPECT_DOUBLE_EQ(*device.rank_of(NotificationId{1}), 1.0);
+  EXPECT_EQ(device.queue_size(kNews), 2u);
+  EXPECT_EQ(device.queue_size(kSports), 1u);
+  auto read = device.read(kNews, 2, 0.0);
+  ASSERT_EQ(read.size(), 2u);
+  EXPECT_EQ(read[0]->id.value, 3u);
+  EXPECT_EQ(read[1]->id.value, 1u);
+  EXPECT_FALSE(device.contains(NotificationId{1}));
+  EXPECT_TRUE(device.contains(NotificationId{2}));
+  // A read message that comes round again is stored afresh.
+  device.receive(on_topic(kNews, 1, 3.5));
+  EXPECT_EQ(device.stats().rank_updates, 1u);
+  EXPECT_EQ(device.queue_size(kNews), 1u);
+}
+
+TEST_F(DeviceTest, RetractionRemovesFromItsOwnTopic) {
+  device.set_topic_threshold(kSports, 2.5);
+  device.receive(on_topic(kNews, 1, 4.0));
+  device.receive(on_topic(kSports, 2, 4.0, seconds(10.0)));
+  device.receive(on_topic(kSports, 2, 1.0, seconds(10.0)));  // retraction
+  EXPECT_FALSE(device.contains(NotificationId{2}));
+  EXPECT_EQ(device.stats().retracted, 1u);
+  EXPECT_EQ(device.queue_size(kSports), 0u);
+  EXPECT_EQ(device.queue_size(kNews), 1u);
+  // The retracted message left the expiry index too: its expiry counts
+  // nothing.
+  sim.schedule_at(seconds(20.0), [] {});
+  sim.run();
+  EXPECT_EQ(device.queue_size(), 1u);
+  EXPECT_EQ(device.stats().expired_unread, 0u);
+}
+
+TEST_F(DeviceTest, ExpiryPurgeRemovesFromEveryTopic) {
+  device.receive(on_topic(kNews, 1, 3.0, seconds(10.0)));
+  device.receive(on_topic(kSports, 2, 3.0, seconds(5.0)));
+  device.receive(on_topic(kSports, 3, 2.0, seconds(30.0)));
+  device.receive(on_topic(kNews, 4, 1.0));
+  // Read before expiry: the read message's expiry is forgotten.
+  ASSERT_EQ(device.read(kNews, 1, 0.0).size(), 1u);  // id 1
+  sim.schedule_at(seconds(20.0), [] {});
+  sim.run();
+  EXPECT_EQ(device.queue_size(), 2u);
+  EXPECT_EQ(device.stats().expired_unread, 1u);  // id 2 only
+  EXPECT_FALSE(device.contains(NotificationId{2}));
+  EXPECT_TRUE(device.contains(NotificationId{3}));
+  EXPECT_EQ(device.queue_size(kSports), 1u);
+  EXPECT_EQ(device.queue_size(kNews), 1u);
+}
+
+TEST_F(DeviceTest, EvictionRemovesTheLowestAcrossTopics) {
+  DeviceConfig config;
+  config.storage_limit = 3;
+  Device small(sim, DeviceId{2}, config);
+  small.receive(on_topic(kNews, 1, 3.0, seconds(50.0)));
+  small.receive(on_topic(kSports, 2, 1.0, seconds(50.0)));
+  small.receive(on_topic(kNews, 3, 4.0));
+  small.receive(on_topic(kSports, 4, 5.0));  // evicts id 2
+  EXPECT_FALSE(small.contains(NotificationId{2}));
+  EXPECT_FALSE(small.rank_of(NotificationId{2}).has_value());
+  small.receive(on_topic(kSports, 2, 2.0));  // id 2 again: a fresh message
+  EXPECT_EQ(small.stats().rank_updates, 0u);
+  EXPECT_FALSE(small.contains(NotificationId{2}));  // and the lowest again
+  small.receive(on_topic(kNews, 3, 0.5));           // rank update, then evicted
+  small.receive(on_topic(kSports, 5, 4.5));
+  EXPECT_FALSE(small.contains(NotificationId{3}));
+  EXPECT_EQ(small.stats().evicted, 3u);
+  EXPECT_EQ(small.queue_size(kNews), 1u);
+  EXPECT_EQ(small.queue_size(kSports), 2u);
+  // Id 1 is still held; its expiry purges it from its topic.
+  sim.schedule_at(seconds(60.0), [] {});
+  sim.run();
+  EXPECT_EQ(small.queue_size(kNews), 0u);
+  EXPECT_EQ(small.queue_size(), 2u);
+  EXPECT_EQ(small.stats().expired_unread, 1u);
 }
 
 }  // namespace

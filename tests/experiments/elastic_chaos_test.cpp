@@ -83,6 +83,31 @@ TEST(ElasticChaosTest, RebalanceScheduleAppliesEveryElasticInjector) {
   EXPECT_EQ(first.digest(), second.digest());
 }
 
+// The stall of the schedule above moved to 4 h - 10 h, well before the
+// horizon: every frozen drain is caught up by the next delivery, so only
+// the frozen-tick count tells the run from an unstalled one.
+TEST(ElasticChaosTest, StallEndingBeforeTheHorizonMovesTheDigest) {
+  ChaosSchedule stalled = rebalance_schedule();
+  ChaosSchedule unstalled = stalled;
+  unstalled.faults.clear();
+  for (ChaosFault& f : stalled.faults) {
+    if (f.kind == ChaosFaultKind::kDeviceStall) {
+      f.at = 4 * kHour;
+      f.duration = 6 * kHour;
+    } else {
+      unstalled.faults.push_back(f);
+    }
+  }
+  const ElasticChaosOutcome with = run_elastic_chaos(stalled);
+  const ElasticChaosOutcome without = run_elastic_chaos(unstalled);
+  EXPECT_TRUE(with.ok());
+  EXPECT_TRUE(with.digest_checked);
+  EXPECT_EQ(with.elastic.digest, with.baseline_digest);
+  EXPECT_GT(with.elastic.frozen_ticks, 0u);
+  EXPECT_EQ(without.elastic.frozen_ticks, 0u);
+  EXPECT_NE(with.elastic.digest, without.elastic.digest);
+}
+
 TEST(ElasticChaosTest, AutoscaleWithAForcedRebalanceRunsTheController) {
   ChaosSchedule schedule;
   schedule.seed = 21;

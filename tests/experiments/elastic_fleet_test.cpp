@@ -103,6 +103,27 @@ TEST(ElasticFleetTest, OutcomeIsIdenticalAcrossWorkerCounts) {
   }
 }
 
+// A cell outage that ends before the horizon only delays drains that the
+// next delivery to each mailbox catches up on, so the mailboxes end as if
+// it never happened; the frozen-tick count is what makes it visible. The
+// count is topology-invariant like the rest of the digest.
+TEST(ElasticFleetTest, CellOutageEndingBeforeTheHorizonMovesTheDigest) {
+  ElasticFleetConfig config = small_elastic();
+  config.resizes = grow_and_shrink();
+  const std::uint64_t calm = fixed_digest(config);
+  config.cell_outages.push_back({8, 0.4, 4 * kHour, 10 * kHour});
+  const ElasticFleet fleet(config);
+  ParallelRunner sequential(1);
+  ParallelRunner parallel(4);
+  const ElasticOutcome a = fleet.run(sequential);
+  const ElasticOutcome b = fleet.run(parallel);
+  EXPECT_GT(a.frozen_ticks, 0u);
+  EXPECT_EQ(a.frozen_ticks, b.frozen_ticks);
+  EXPECT_NE(a.digest, calm);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.digest, fixed_digest(config));
+}
+
 TEST(ElasticFleetTest, EveryNodeLineageStaysCleanThroughResizes) {
   ElasticFleetConfig config = small_elastic();
   config.resizes = grow_and_shrink();

@@ -5,13 +5,15 @@
 // or drain-and-refill schedule/pop cycle on the event queue and an
 // insert/erase cycle on the ranked queues touch the global heap ZERO times
 // per event, and so do the journal hooks per WAL record (bar the blob's own
-// growth); a warm checkpoint allocates as often for a large image as for a
-// small one. A future change that quietly reintroduces per-event allocations
+// growth); a warm broker -> proxy -> device cycle allocates per publish only
+// the notification and its topic name; a warm checkpoint allocates as often
+// for a large image as for a small one. A future change that quietly reintroduces per-event allocations
 // (a fatter callback that spills out of std::function's inline buffer, a
 // container swap that drops the pool allocator) fails here, not in a
 // profiler six months later.
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,11 @@
 #include "core/forwarding_policy.h"
 #include "core/journal.h"
 #include "core/proxy.h"
+#include "device/device.h"
+#include "net/link.h"
+#include "pubsub/broker.h"
 #include "pubsub/notification.h"
+#include "pubsub/publisher.h"
 #include "pubsub/ranked_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -65,7 +71,7 @@ TEST(AllocRegressionTest, EventQueueSteadyStateAllocatesNothing) {
     queue.schedule(static_cast<SimTime>(rng.next_below(5000)),
                    [&fired] { ++fired; });
   }
-  // Warm-up lets the heap vector and the handle-state arena reach their
+  // Warm-up lets the heap vector and the slot table reach their
   // standing capacity before the measured window opens — first-touch growth
   // is real allocation.
   cycle(150000);
@@ -110,7 +116,7 @@ TEST(AllocRegressionTest, EventQueueCancelPathAllocatesNothing) {
 
 // Drain and refill: a replayed trace schedules its whole population up front
 // and then runs the queue dry, over and over. Once the first cycles have
-// grown the heap vector and the handle-state arena to the population, a
+// grown the heap vector and the slot table to the population, a
 // drained queue keeps both, so refilling it must not allocate.
 TEST(AllocRegressionTest, EventQueueDrainAndRefillAllocatesNothing) {
   constexpr int kPopulation = 4096;
@@ -166,7 +172,7 @@ TEST(AllocRegressionTest, SimulatorTimerChurnAllocatesNothing) {
     sim.schedule_after(static_cast<SimDuration>(rng.next_below(1000)),
                        [&ticker] { ticker.tick(); });
   }
-  // Warm-up: the heap vector and the handle-state arena reach their standing
+  // Warm-up: the heap vector and the slot table reach their standing
   // capacity before the measured window opens.
   sim.run_until(20'000'000);
 
@@ -357,6 +363,104 @@ TEST(AllocRegressionTest, CheckpointAllocationsDoNotGrowWithTheImage) {
   const std::uint64_t eight_large = checkpoint_allocations(8, 4096);
   EXPECT_EQ(eight_small, eight_large);
   EXPECT_LE(eight_large, 32u);
+}
+
+// The last hop, warm: broker -> proxy -> device with the journal attached,
+// the wiring of experiments::run_trace plus ProxyPersistence. Every publish
+// is forwarded at once (an on-line topic) and lands on the device, which the
+// user reads from every few publishes; expiring notifications keep the
+// proxy's and the device's expiry timers and indexes turning over. Once
+// warm, a publish allocates the notification and its copy of the topic name
+// and nothing else on its way through broker, proxy, journal, link and
+// device; a read allocates a fixed handful of result vectors.
+struct LastHopCycle {
+  // Past libstdc++'s 15-byte small-string buffer, so any copy of the name
+  // allocates.
+  const std::string topic = "experiment/topic";
+  sim::Simulator sim;
+  pubsub::Broker broker{sim};
+  net::Link link{sim};
+  device::Device device{sim, DeviceId{1}, [] {
+                          device::DeviceConfig config;
+                          config.storage_limit = 64;
+                          return config;
+                        }()};
+  core::SimDeviceChannel channel{link, device};
+  core::Proxy proxy{sim, channel};
+  storage::MemBackend backend;
+  storage::ProxyPersistence persistence{sim, backend, [] {
+                                          storage::PersistenceConfig config;
+                                          config.snapshot_interval = 0;
+                                          return config;
+                                        }()};
+  pubsub::Publisher publisher{broker, "alloc"};
+  std::optional<core::LastHopSession> session;
+  Rng rng{31};
+  std::uint64_t publishes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t publish_allocs = 0;
+  std::uint64_t read_allocs = 0;
+
+  LastHopCycle() {
+    proxy.attach_to_link(link);
+    core::TopicConfig config;
+    config.mode = core::DeliveryMode::kOnLine;
+    config.options.max = 8;
+    config.policy = core::PolicyConfig::online();
+    proxy.add_topic(topic, config);
+    persistence.attach(proxy);
+    publisher.advertise(topic);
+    broker.subscribe(topic, proxy, config.options);
+    session.emplace(proxy, link, device);
+  }
+
+  /// `rounds` publishes a minute apart, each living up to two hours, with
+  /// one user read after every fourth; allocations are counted apart.
+  void run(int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      const double rank = static_cast<double>(rng.next_below(6));
+      const auto lifetime =
+          static_cast<SimDuration>(1 + rng.next_below(2 * kHour));
+      {
+        const alloc_stats::AllocProbe probe;
+        sim.run_until(sim.now() + kMinute);  // expiry timers fire here
+        const bool published = publisher.publish(topic, rank, lifetime) != nullptr;
+        publish_allocs += probe.allocations();
+        EXPECT_TRUE(published);
+      }
+      ++publishes;
+      if (i % 4 == 3) {
+        const alloc_stats::AllocProbe probe;
+        const std::size_t read = session->user_read(topic).size();
+        read_allocs += probe.allocations();
+        EXPECT_LE(read, 8u);
+        ++reads;
+      }
+    }
+  }
+};
+
+TEST(AllocRegressionTest, LastHopPublishForwardReadAllocatesOnlyTheNotification) {
+  LastHopCycle cycle;
+  cycle.run(20000);  // the broker history, timers and indexes reach size
+  cycle.publishes = cycle.reads = cycle.publish_allocs = cycle.read_allocs = 0;
+  const std::uint64_t delivered_before = cycle.link.stats().downlink_messages;
+  cycle.run(8000);
+
+  // Every publish went down the link to the device.
+  EXPECT_EQ(cycle.link.stats().downlink_messages - delivered_before, 8000u);
+  const double per_publish = static_cast<double>(cycle.publish_allocs) /
+                             static_cast<double>(cycle.publishes);
+  const double per_read = static_cast<double>(cycle.read_allocs) /
+                          static_cast<double>(cycle.reads);
+  // Two per publish: the notification and its topic name (2.08 measured;
+  // the rest is the chunks of the two history deques and the WAL blob's
+  // growth).
+  EXPECT_LE(per_publish, 2.1) << cycle.publish_allocs << " allocations in "
+                              << cycle.publishes << " publishes";
+  // A read allocates its request and result vectors: 5.03 measured.
+  EXPECT_LE(per_read, 5.1) << cycle.read_allocs << " allocations in "
+                           << cycle.reads << " reads";
 }
 
 }  // namespace

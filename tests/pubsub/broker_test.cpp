@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -189,6 +191,121 @@ TEST_F(BrokerTest, SubscriberCountAndOptions) {
 
 TEST_F(BrokerTest, FindReturnsNullForUnknown) {
   EXPECT_EQ(broker.find(NotificationId{1}), nullptr);
+}
+
+/// Records what it receives and runs `hook` on every delivery, so a test
+/// can (un)subscribe or publish from inside a route.
+class HookedProbe : public Subscriber {
+ public:
+  void on_notification(const NotificationPtr& notification) override {
+    received.push_back(notification->id.value);
+    if (hook) hook(notification);
+  }
+
+  std::vector<std::uint64_t> received;
+  std::function<void(const NotificationPtr&)> hook;
+};
+
+// A route delivers to the subscribers the topic had when the route began:
+// one removed during the route still gets this notification, one added
+// during it does not, and neither change leaks into the next publish.
+TEST_F(BrokerTest, UnsubscribingItselfDuringDeliveryKeepsTheRouteWhole) {
+  const PublisherId publisher = broker.register_publisher("p");
+  broker.advertise(publisher, "news");
+  HookedProbe first, second;
+  const SubscriptionId first_id = broker.subscribe("news", first);
+  broker.subscribe("news", second);
+  first.hook = [&](const NotificationPtr&) { broker.unsubscribe(first_id); };
+
+  broker.publish(publisher, "news", 1.0);
+  broker.publish(publisher, "news", 1.0);
+  EXPECT_EQ(first.received, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(second.received, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(broker.subscriber_count("news"), 1u);
+  EXPECT_EQ(broker.stats().deliveries, 3u);
+}
+
+TEST_F(BrokerTest, UnsubscribingAnotherDuringDeliveryStillDeliversToIt) {
+  const PublisherId publisher = broker.register_publisher("p");
+  broker.advertise(publisher, "news");
+  HookedProbe first, second;
+  broker.subscribe("news", first);
+  const SubscriptionId second_id = broker.subscribe("news", second);
+  first.hook = [&](const NotificationPtr&) { broker.unsubscribe(second_id); };
+
+  broker.publish(publisher, "news", 1.0);
+  broker.publish(publisher, "news", 1.0);
+  EXPECT_EQ(first.received, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(second.received, (std::vector<std::uint64_t>{1}));
+}
+
+TEST_F(BrokerTest, SubscribingDuringDeliveryTakesEffectFromTheNextPublish) {
+  const PublisherId publisher = broker.register_publisher("p");
+  broker.advertise(publisher, "news");
+  HookedProbe first, second, third;
+  broker.subscribe("news", first);
+  broker.subscribe("news", second);
+  first.hook = [&](const NotificationPtr&) {
+    broker.subscribe("news", third);
+    first.hook = nullptr;
+  };
+
+  broker.publish(publisher, "news", 1.0);
+  broker.publish(publisher, "news", 1.0);
+  EXPECT_EQ(first.received, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(second.received, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(third.received, (std::vector<std::uint64_t>{2}));
+}
+
+// A publish from inside a delivery routes completely, to the subscribers of
+// that moment, before the outer route moves on to its next subscriber.
+TEST_F(BrokerTest, NestedPublishDuringDeliveryRoutesOnItsOwn) {
+  const PublisherId publisher = broker.register_publisher("p");
+  broker.advertise(publisher, "news");
+  broker.advertise(publisher, "sports");
+  HookedProbe first, second, sports;
+  broker.subscribe("news", first);
+  broker.subscribe("news", second);
+  broker.subscribe("sports", sports);
+  first.hook = [&](const NotificationPtr& notification) {
+    if (notification->id.value != 1) return;
+    broker.publish(publisher, "news", 2.0);    // id 2, same topic
+    broker.publish(publisher, "sports", 2.0);  // id 3, another topic
+  };
+
+  broker.publish(publisher, "news", 1.0);
+  EXPECT_EQ(first.received, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(second.received, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(sports.received, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(broker.stats().deliveries, 5u);
+
+  // The nesting left nothing behind: a plain publish reaches both again.
+  broker.publish(publisher, "news", 1.0);
+  EXPECT_EQ(first.received.back(), 4u);
+  EXPECT_EQ(second.received.back(), 4u);
+}
+
+TEST_F(BrokerTest, RankUpdateFindsItsTopicAmongMany) {
+  const PublisherId publisher = broker.register_publisher("p");
+  HookedProbe news, sports;
+  // Topic names past the small-string buffer, several of them, so the id
+  // index has to tell topics apart.
+  const std::string topics[] = {"experiment/news-topic", "experiment/sports-topic",
+                                "experiment/weather-topic"};
+  for (const std::string& topic : topics) broker.advertise(publisher, topic);
+  broker.subscribe(topics[0], news);
+  broker.subscribe(topics[1], sports);
+  const auto first = broker.publish(publisher, topics[0], 1.0);
+  const auto second = broker.publish(publisher, topics[1], 2.0);
+  broker.publish(publisher, topics[2], 3.0);
+
+  EXPECT_TRUE(broker.update_rank(publisher, second->id, 4.0));
+  EXPECT_TRUE(broker.update_rank(publisher, first->id, 0.5));
+  EXPECT_EQ(news.received, (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_EQ(sports.received, (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_DOUBLE_EQ(broker.find(second->id)->rank, 4.0);
+  EXPECT_EQ(broker.find(second->id)->topic, topics[1]);
+  EXPECT_DOUBLE_EQ(broker.find(first->id)->rank, 0.5);
 }
 
 TEST_F(BrokerTest, SubscriptionOptionsAccepts) {
