@@ -284,14 +284,7 @@ std::vector<NotificationPtr> TopicState::handle_read(const ReadRequest& request)
   // The client sends only ids; ranks for them come from our history (the
   // proxy has seen every event it ever forwarded). Unknown ids — evicted from
   // history — are treated as top-ranked, which can only make us forward less.
-  struct Candidate {
-    double rank;
-    SimTime published_at;
-    std::uint64_t id;
-    NotificationPtr event;  // null for client-held entries
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(best.size() + request.client_events.size());
+  std::vector<ReadCandidate>& candidates = read_candidates_;
   for (const NotificationPtr& event : best) {
     candidates.push_back(
         {event->rank, event->published_at, event->id.value, event});
@@ -300,23 +293,31 @@ std::vector<NotificationPtr> TopicState::handle_read(const ReadRequest& request)
     // Skip duplicates: an id both on the client and in our queues competes
     // as the client's copy (no transfer needed).
     std::erase_if(candidates,
-                  [&](const Candidate& c) { return c.id == id.value; });
+                  [&](const ReadCandidate& c) { return c.id == id.value; });
     const auto rank = history_rank(id);
     candidates.push_back({rank.value_or(pubsub::kMaxRank), 0, id.value, nullptr});
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
+            [](const ReadCandidate& a, const ReadCandidate& b) {
               if (a.rank != b.rank) return a.rank > b.rank;
               if (a.published_at != b.published_at)
                 return a.published_at > b.published_at;
               return a.id > b.id;
             });
 
+  const auto chosen = candidates.begin() +
+                      std::min<std::ptrdiff_t>(
+                          static_cast<std::ptrdiff_t>(candidates.size()),
+                          request.n);
   std::vector<NotificationPtr> difference;
-  for (std::size_t i = 0;
-       i < candidates.size() && i < static_cast<std::size_t>(request.n); ++i) {
-    if (candidates[i].event != nullptr) difference.push_back(candidates[i].event);
+  difference.reserve(static_cast<std::size_t>(
+      std::count_if(candidates.begin(), chosen, [](const ReadCandidate& c) {
+        return c.event != nullptr;
+      })));
+  for (auto c = candidates.begin(); c != chosen; ++c) {
+    if (c->event != nullptr) difference.push_back(std::move(c->event));
   }
+  candidates.clear();
 
   // q.outgoing ← q.outgoing ∪ difference. We also remove the events from
   // prefetch/holding so a later prefetch pass cannot transfer them twice

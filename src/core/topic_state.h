@@ -401,6 +401,17 @@ class TopicState {
 
   ProxyJournal* journal_ = nullptr;
   TopicStats stats_;
+
+  /// handle_read's candidates for the difference: the best queued events
+  /// and the client's ids. Kept only to reuse the capacity; empty between
+  /// reads.
+  struct ReadCandidate {
+    double rank;
+    SimTime published_at;
+    std::uint64_t id;
+    pubsub::NotificationPtr event;  // null for client-held entries
+  };
+  std::vector<ReadCandidate> read_candidates_;
 };
 
 template <typename Container>

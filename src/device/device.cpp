@@ -125,9 +125,10 @@ std::vector<NotificationId> Device::top_ids(const std::string& topic, int n,
   RankedQueue* queue = queue_for(topic);
   std::vector<NotificationId> ids;
   if (queue == nullptr || n <= 0) return ids;
-  auto top = queue->top_n(n, threshold);
-  ids.reserve(top.size());
-  for (const NotificationPtr& notification : top) ids.push_back(notification->id);
+  ids.reserve(std::min<std::size_t>(static_cast<std::size_t>(n), queue->size()));
+  queue->visit_top_n(n, threshold, [&](const NotificationPtr& notification) {
+    ids.push_back(notification->id);
+  });
   return ids;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,6 +15,7 @@
 #include "core/forwarding_policy.h"
 #include "core/proxy.h"
 #include "core/snapshot.h"
+#include "experiments/drain_queue.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
 #include "storage/snapshot.h"
@@ -32,17 +32,13 @@ core::TopicConfig elastic_topic_config() {
   return config;
 }
 
-/// Per-(topic, subscriber) mailbox, 8 bytes. Keyed by the subscriber's slot
-/// in the topic's *global* list, so the image is independent of topology.
-struct Mailbox {
-  std::uint32_t queued = 0;
-  std::uint32_t drain_bucket = 0;
-};
-
-/// Per-topic delivery-visible totals. Written only by the topic's current
+/// Per-topic delivery-visible state. Written only by the topic's current
 /// owner node (ownership changes only at single-threaded boundaries), read
 /// by the coordinator at boundaries — never concurrently.
 struct TopicRow {
+  /// One mailbox per subscriber, in the topic's *global* subscriber order,
+  /// so the image is independent of topology.
+  std::vector<DrainQueue> boxes;
   std::uint64_t batches = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t overflow_drops = 0;
@@ -63,21 +59,18 @@ class ElasticFanout final : public core::DeviceChannel {
   ElasticFanout(const workload::ShardPopulation& pop, const FleetConfig& config,
                 const std::vector<workload::CellOutage>& outages,
                 const std::vector<std::vector<char>>& outage_members,
-                std::vector<TopicRow>& rows,
-                std::vector<std::vector<Mailbox>>& boxes)
+                std::vector<TopicRow>& rows)
       : pop_(pop),
         config_(config),
         outages_(outages),
         outage_members_(outage_members),
-        rows_(rows),
-        boxes_(boxes) {}
+        rows_(rows) {}
 
   bool link_up() const override { return true; }
 
   bool deliver(const pubsub::NotificationPtr& notification) override {
-    // Topic names are canonical "t<k>" (fleet_topic_name).
-    const auto topic = static_cast<std::uint32_t>(
-        std::strtoul(notification->topic.c_str() + 1, nullptr, 10));
+    const std::uint32_t topic = fleet_topic_index(
+        notification->topic, static_cast<std::uint32_t>(rows_.size()));
     TopicRow& row = rows_[topic];
     const std::uint64_t seq = notification->id.value;
     if (seq <= row.last_seq) ++row.seq_violations;
@@ -86,34 +79,28 @@ class ElasticFanout final : public core::DeviceChannel {
     const auto bucket = static_cast<std::uint32_t>(
         notification->published_at /
         std::max<SimDuration>(config_.drain_period, 1));
-    std::vector<Mailbox>& boxes = boxes_[topic];
     const std::vector<std::uint32_t>& subscribers =
         pop_.topic_subscribers[topic];
+    std::uint64_t admitted = 0;
+    std::uint64_t drained = 0;
+    std::uint64_t frozen = 0;
     for (std::size_t i = 0; i < subscribers.size(); ++i) {
-      Mailbox& box = boxes[i];
-      if (box.drain_bucket != bucket) {
-        std::uint64_t ticks =
-            static_cast<std::uint64_t>(bucket - box.drain_bucket);
-        if (!outages_.empty()) {
-          const std::uint64_t blocked = std::min(
-              ticks, blocked_ticks(subscribers[i], box.drain_bucket, bucket));
-          ticks -= blocked;
-          row.frozen_ticks += blocked;
-        }
-        const std::uint64_t can_drain = ticks * config_.drain_batch;
-        const auto drained = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(box.queued, can_drain));
-        box.queued -= drained;
-        row.drained += drained;
-        box.drain_bucket = bucket;
+      DrainQueue& box = row.boxes[i];
+      std::uint64_t ticks = bucket - box.drain_bucket;
+      if (!outages_.empty()) {
+        // 0 ticks (a touch inside the box's bucket) freeze 0.
+        const std::uint64_t blocked = std::min(
+            ticks, blocked_ticks(subscribers[i], box.drain_bucket, bucket));
+        ticks -= blocked;
+        frozen += blocked;
       }
-      if (box.queued >= config_.device_queue_cap) {
-        ++row.overflow_drops;
-      } else {
-        ++box.queued;
-        ++row.deliveries;
-      }
+      admitted += offer(box, bucket, ticks, config_.drain_batch,
+                        config_.device_queue_cap, drained);
     }
+    row.deliveries += admitted;
+    row.overflow_drops += subscribers.size() - admitted;
+    row.drained += drained;
+    row.frozen_ticks += frozen;
     return true;
   }
 
@@ -146,7 +133,6 @@ class ElasticFanout final : public core::DeviceChannel {
   const std::vector<workload::CellOutage>& outages_;
   const std::vector<std::vector<char>>& outage_members_;
   std::vector<TopicRow>& rows_;
-  std::vector<std::vector<Mailbox>>& boxes_;
 };
 
 /// One proxy node. Construction order matters: the backend outlives the
@@ -186,14 +172,13 @@ class ElasticRun {
         journal_(control_backend_) {
     const std::size_t topics = pop_.topic_subscribers.size();
     rows_.resize(topics);
-    boxes_.resize(topics);
     topic_names_.resize(topics);
     owner_.assign(topics, -1);
     journal_owner_.assign(topics, -1);
     for (std::uint32_t t = 0; t < topics; ++t) {
       if (pop_.topic_subscribers[t].empty()) continue;
       managed_.push_back(t);
-      boxes_[t].resize(pop_.topic_subscribers[t].size());
+      rows_[t].boxes.resize(pop_.topic_subscribers[t].size());
       topic_names_[t] = fleet_topic_name(t);
       const auto shard =
           static_cast<std::int32_t>(ring_.shard_of_key(topic_names_[t]));
@@ -276,8 +261,7 @@ class ElasticRun {
     auto node = std::make_unique<Node>();
     node->shard = shard;
     node->channel = std::make_unique<ElasticFanout>(
-        pop_, config_.base, config_.cell_outages, outage_members_, rows_,
-        boxes_);
+        pop_, config_.base, config_.cell_outages, outage_members_, rows_);
     node->proxy = std::make_unique<core::Proxy>(
         node->sim, *node->channel, "node" + std::to_string(shard));
     node->persistence = std::make_unique<storage::ProxyPersistence>(
@@ -1182,7 +1166,7 @@ class ElasticRun {
       fold(digest, row.seq_violations);
       // Only when nonzero, so a run without cell outages keeps its digest.
       if (row.frozen_ticks != 0) fold(digest, row.frozen_ticks);
-      for (const Mailbox& box : boxes_[t]) {
+      for (const DrainQueue& box : row.boxes) {
         fold(digest, (static_cast<std::uint64_t>(box.queued) << 32) |
                          box.drain_bucket);
       }
@@ -1209,7 +1193,6 @@ class ElasticRun {
   std::vector<std::int32_t> journal_owner_;  // durable-record-derived
   std::map<std::string, std::uint32_t> initial_owner_names_;
   std::vector<TopicRow> rows_;
-  std::vector<std::vector<Mailbox>> boxes_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::uint32_t, Hold> holds_;
   /// Each migration source's decoded lineage at the current boundary, by

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/distributions.h"
@@ -14,6 +14,7 @@
 #include "core/forwarding_policy.h"
 #include "core/journal.h"
 #include "core/proxy.h"
+#include "experiments/drain_queue.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
 #include "storage/fsck.h"
@@ -23,75 +24,47 @@ namespace waif::experiments {
 
 namespace {
 
-/// Per-device mutable state, 8 bytes: the bounded queue depth plus the
-/// drain-period bucket of the last lazy settlement.
-struct CompactDevice {
-  std::uint32_t queued = 0;
-  std::uint32_t drain_bucket = 0;
-};
-
 /// The per-shard batch applier: one deliver() per (publish, shard) walks the
 /// shard-local subscriber slots of the topic — the fan-out batching that
-/// replaces per-device sends.
+/// replaces per-device sends — and adds the batch to the shard's counters.
 class FanoutChannel final : public core::DeviceChannel {
  public:
   FanoutChannel(sim::Simulator& sim, const workload::ShardPopulation& pop,
-                const FleetConfig& config)
-      : sim_(sim), pop_(pop), config_(config) {
-    devices_.resize(pop.device_count());
-    topic_ids_.reserve(pop.topic_subscribers.size());
-    for (std::uint32_t t = 0;
-         t < static_cast<std::uint32_t>(pop.topic_subscribers.size()); ++t) {
-      if (!pop.topic_subscribers[t].empty())
-        topic_ids_.emplace(fleet_topic_name(t), t);
-    }
-  }
+                const FleetConfig& config, ShardOutcome& counts)
+      : sim_(sim),
+        pop_(pop),
+        config_(config),
+        counts_(counts),
+        devices_(pop.device_count()) {}
 
   bool link_up() const override { return true; }
 
   bool deliver(const pubsub::NotificationPtr& notification) override {
-    const auto it = topic_ids_.find(notification->topic);
-    WAIF_CHECK(it != topic_ids_.end());
+    const std::vector<std::uint32_t>& slots =
+        pop_.topic_subscribers[fleet_topic_index(notification->topic,
+                                                 config_.population.topics)];
     const auto bucket = static_cast<std::uint32_t>(
         sim_.now() / std::max<SimDuration>(config_.drain_period, 1));
-    ++batches_;
-    for (const std::uint32_t slot : pop_.topic_subscribers[it->second]) {
-      CompactDevice& device = devices_[slot];
-      if (device.drain_bucket != bucket) {
-        const std::uint64_t can_drain =
-            static_cast<std::uint64_t>(bucket - device.drain_bucket) *
-            config_.drain_batch;
-        const std::uint32_t drained = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(device.queued, can_drain));
-        device.queued -= drained;
-        drained_ += drained;
-        device.drain_bucket = bucket;
-      }
-      if (device.queued >= config_.device_queue_cap) {
-        ++overflow_drops_;
-      } else {
-        ++device.queued;
-        ++deliveries_;
-      }
+    std::uint64_t admitted = 0;
+    std::uint64_t drained = 0;
+    for (const std::uint32_t slot : slots) {
+      DrainQueue& device = devices_[slot];
+      admitted += offer(device, bucket, bucket - device.drain_bucket,
+                        config_.drain_batch, config_.device_queue_cap, drained);
     }
+    ++counts_.batches;
+    counts_.deliveries += admitted;
+    counts_.overflow_drops += slots.size() - admitted;
+    counts_.drained += drained;
     return true;
   }
-
-  std::uint64_t batches() const { return batches_; }
-  std::uint64_t deliveries() const { return deliveries_; }
-  std::uint64_t overflow_drops() const { return overflow_drops_; }
-  std::uint64_t drained() const { return drained_; }
 
  private:
   sim::Simulator& sim_;
   const workload::ShardPopulation& pop_;
   const FleetConfig& config_;
-  std::vector<CompactDevice> devices_;
-  std::unordered_map<std::string, std::uint32_t> topic_ids_;
-  std::uint64_t batches_ = 0;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t overflow_drops_ = 0;
-  std::uint64_t drained_ = 0;
+  ShardOutcome& counts_;
+  std::vector<DrainQueue> devices_;  // by shard-local slot
 };
 
 /// Journals every forward into the shard's own WAL, in write-ahead order
@@ -128,6 +101,16 @@ void fold(std::uint64_t& h, std::uint64_t v) {
 
 std::string fleet_topic_name(std::uint32_t topic) {
   return "t" + std::to_string(topic);
+}
+
+std::uint32_t fleet_topic_index(std::string_view name, std::uint32_t topics) {
+  WAIF_CHECK(name.size() >= 2 && name[0] == 't' &&
+             (name[1] != '0' || name.size() == 2));
+  std::uint32_t topic = 0;
+  const char* end = name.data() + name.size();
+  const auto [stop, error] = std::from_chars(name.data() + 1, end, topic);
+  WAIF_CHECK(error == std::errc() && stop == end && topic < topics);
+  return topic;
 }
 
 std::vector<PublishEvent> draw_publishes(const FleetConfig& config) {
@@ -181,8 +164,9 @@ FleetOutcome ShardedFleet::run(ParallelRunner& runner) const {
   const auto run_shard = [this, &rss_peak](std::size_t s) -> ShardOutcome {
     const workload::ShardPopulation& pop = population_.shard(s);
 
+    ShardOutcome outcome;
     sim::Simulator sim;
-    FanoutChannel channel(sim, pop, config_);
+    FanoutChannel channel(sim, pop, config_, outcome);
     core::Proxy proxy(sim, channel, "shard" + std::to_string(s));
 
     core::TopicConfig topic_config;
@@ -190,11 +174,10 @@ FleetOutcome ShardedFleet::run(ParallelRunner& runner) const {
     topic_config.policy = core::PolicyConfig::online();
 
     // The publishes this shard cares about: topics with local subscribers.
-    std::uint64_t topics_managed = 0;
     for (std::uint32_t t = 0; t < config_.population.topics; ++t) {
       if (pop.topic_subscribers[t].empty()) continue;
       proxy.add_topic(fleet_topic_name(t), topic_config);
-      ++topics_managed;
+      ++outcome.topics_managed;
     }
     std::vector<std::uint32_t> relevant;
     relevant.reserve(publishes_.size());
@@ -248,15 +231,9 @@ FleetOutcome ShardedFleet::run(ParallelRunner& runner) const {
     wal.flush();
     wal.sync();
 
-    ShardOutcome outcome;
     outcome.devices = pop.device_count();
     outcome.subscriptions = pop.subscriptions;
-    outcome.topics_managed = topics_managed;
     outcome.publishes_routed = proxy.stats().notifications;
-    outcome.batches = channel.batches();
-    outcome.deliveries = channel.deliveries();
-    outcome.overflow_drops = channel.overflow_drops();
-    outcome.drained = channel.drained();
     outcome.wal_records = wal.record_count();
     outcome.events_fired = sim.fired_events();
     outcome.lineage = storage::wal_lineage(backend);
@@ -269,8 +246,8 @@ FleetOutcome ShardedFleet::run(ParallelRunner& runner) const {
     outcome.health.shard = static_cast<std::uint32_t>(s);
     outcome.health.at = config_.horizon;
     outcome.health.wal_records = wal.record_count();
-    outcome.health.topics_owned = topics_managed;
-    outcome.health.deliveries = channel.deliveries();
+    outcome.health.topics_owned = outcome.topics_managed;
+    outcome.health.deliveries = outcome.deliveries;
 
     // Sample RSS while this shard's machinery is still alive; lock-free
     // max, reporting only (never digested).

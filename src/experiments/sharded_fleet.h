@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -121,6 +122,10 @@ struct FleetOutcome {
 
 /// The canonical topic name of topic index t ("t0", "t1", ...).
 std::string fleet_topic_name(std::uint32_t topic);
+
+/// The index k of the canonical topic name "t<k>". Aborts unless `name` is
+/// fleet_topic_name(k) for some k < `topics`.
+std::uint32_t fleet_topic_index(std::string_view name, std::uint32_t topics);
 
 /// Draws the global publish trace for `config` — pure function of the seed.
 std::vector<PublishEvent> draw_publishes(const FleetConfig& config);

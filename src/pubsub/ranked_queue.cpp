@@ -67,11 +67,9 @@ std::vector<NotificationPtr> RankedQueue::top_n(int n, double threshold) const {
   std::vector<NotificationPtr> result;
   if (n <= 0) return result;
   result.reserve(std::min<std::size_t>(static_cast<std::size_t>(n), size()));
-  for (const NotificationPtr& notification : ordered_) {
-    if (static_cast<int>(result.size()) >= n) break;
-    if (notification->rank < threshold) break;  // ordered by rank: done
+  visit_top_n(n, threshold, [&](const NotificationPtr& notification) {
     result.push_back(notification);
-  }
+  });
   return result;
 }
 
@@ -82,24 +80,32 @@ void RankedQueue::clear() {
 
 std::vector<NotificationPtr> top_n_across(
     std::initializer_list<const RankedQueue*> queues, int n, double threshold) {
-  std::vector<NotificationPtr> merged;
-  for (const RankedQueue* queue : queues) {
-    auto part = queue->top_n(n, threshold);
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  std::sort(merged.begin(), merged.end(), RankHigher{});
-  // De-duplicate by id (an event may appear in more than one queue only
-  // transiently, but be safe).
   std::vector<NotificationPtr> result;
-  result.reserve(merged.size());
-  for (const NotificationPtr& notification : merged) {
-    if (static_cast<int>(result.size()) >= n) break;
-    const bool seen = std::any_of(
-        result.begin(), result.end(), [&](const NotificationPtr& r) {
-          return r->id == notification->id;
-        });
-    if (!seen) result.push_back(notification);
+  if (n <= 0) return result;
+  std::size_t bound = 0;
+  for (const RankedQueue* queue : queues) {
+    bound += std::min<std::size_t>(static_cast<std::size_t>(n), queue->size());
   }
+  result.reserve(bound);
+  for (const RankedQueue* queue : queues) {
+    queue->visit_top_n(n, threshold, [&](const NotificationPtr& notification) {
+      result.push_back(notification);
+    });
+  }
+  std::sort(result.begin(), result.end(), RankHigher{});
+  // Keep the first copy of each id, up to n (an event may appear in more
+  // than one queue only transiently, but be safe).
+  std::size_t kept = 0;
+  for (std::size_t i = 0;
+       i < result.size() && kept < static_cast<std::size_t>(n); ++i) {
+    const bool seen = std::any_of(
+        result.begin(), result.begin() + static_cast<std::ptrdiff_t>(kept),
+        [&](const NotificationPtr& r) { return r->id == result[i]->id; });
+    if (seen) continue;
+    if (kept != i) result[kept] = std::move(result[i]);
+    ++kept;
+  }
+  result.resize(kept);
   return result;
 }
 

@@ -55,6 +55,16 @@ class RankedQueue {
   /// (non-destructive) — the paper's get_highest_ranked(N, queue).
   std::vector<pubsub::NotificationPtr> top_n(int n, double threshold) const;
 
+  /// Calls `visit` on each notification of top_n(n, threshold), best first,
+  /// without collecting them.
+  template <typename Visit>
+  void visit_top_n(int n, double threshold, Visit&& visit) const {
+    for (const pubsub::NotificationPtr& notification : ordered_) {
+      if (n-- <= 0 || notification->rank < threshold) break;
+      visit(notification);
+    }
+  }
+
   std::size_t size() const { return ordered_.size(); }
   bool empty() const { return ordered_.empty(); }
   void clear();

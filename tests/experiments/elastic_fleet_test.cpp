@@ -124,6 +124,25 @@ TEST(ElasticFleetTest, CellOutageEndingBeforeTheHorizonMovesTheDigest) {
   EXPECT_EQ(a.digest, fixed_digest(config));
 }
 
+// Pins the per-(topic, subscriber) mailboxes and the freeze to the values
+// of the settle-then-enqueue loop DrainQueueTest keeps as its reference, so
+// a fan-out kernel that is wrong but deterministic fails. A drain slower
+// than the arrivals keeps every counter busy.
+TEST(ElasticFleetTest, CellOutageDigestIsPinned) {
+  ElasticFleetConfig config = small_elastic();
+  config.base.device_queue_cap = 4;
+  config.base.drain_period = kHour;
+  config.base.drain_batch = 1;
+  config.cell_outages.push_back({8, 0.4, 4 * kHour, 10 * kHour});
+  ParallelRunner runner(2);
+  const ElasticOutcome outcome = ElasticFleet(config).run(runner);
+  EXPECT_EQ(outcome.deliveries, 272804u);
+  EXPECT_EQ(outcome.overflow_drops, 121344u);
+  EXPECT_EQ(outcome.drained, 233582u);
+  EXPECT_EQ(outcome.frozen_ticks, 28608u);
+  EXPECT_EQ(outcome.digest, 3557159660663974044u);
+}
+
 TEST(ElasticFleetTest, EveryNodeLineageStaysCleanThroughResizes) {
   ElasticFleetConfig config = small_elastic();
   config.resizes = grow_and_shrink();

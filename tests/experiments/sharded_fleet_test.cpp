@@ -159,5 +159,38 @@ TEST(ShardedFleetTest, ShardCountOneIsTheUnshardedProxy) {
   EXPECT_EQ(outcome.device_imbalance, 1.0);
 }
 
+// Every other fleet test compares two runs of one build. This one pins the
+// outcome to the values of the settle-then-enqueue loop DrainQueueTest keeps
+// as its reference, so a fan-out kernel that is wrong but deterministic
+// fails. A drain slower than the arrivals keeps all three counters busy.
+TEST(ShardedFleetTest, DigestIsPinned) {
+  FleetConfig config = small_fleet();
+  config.device_queue_cap = 8;
+  config.drain_period = kHour;
+  config.drain_batch = 4;
+  ParallelRunner runner(2);
+  const FleetOutcome outcome = ShardedFleet(config).run(runner);
+  std::uint64_t drained = 0;
+  for (const ShardOutcome& shard : outcome.shards) drained += shard.drained;
+  EXPECT_EQ(outcome.deliveries, 184913u);
+  EXPECT_EQ(outcome.overflow_drops, 78359u);
+  EXPECT_EQ(drained, 171145u);
+  EXPECT_EQ(outcome.digest, 10428946405731891455u);
+}
+
+TEST(FleetTopicIndexTest, RoundTripsEveryCanonicalName) {
+  for (std::uint32_t topic = 0; topic < 1024; ++topic) {
+    EXPECT_EQ(fleet_topic_index(fleet_topic_name(topic), 1024), topic);
+  }
+}
+
+TEST(FleetTopicIndexDeathTest, RejectsEveryOtherName) {
+  EXPECT_DEATH(fleet_topic_index("x1", 1024), "WAIF_CHECK failed");
+  EXPECT_DEATH(fleet_topic_index("t", 1024), "WAIF_CHECK failed");
+  EXPECT_DEATH(fleet_topic_index("t1x", 1024), "WAIF_CHECK failed");
+  EXPECT_DEATH(fleet_topic_index("t01", 1024), "WAIF_CHECK failed");
+  EXPECT_DEATH(fleet_topic_index("t1024", 1024), "WAIF_CHECK failed");
+}
+
 }  // namespace
 }  // namespace waif::experiments
