@@ -29,19 +29,6 @@ void MovingAverage::reset() {
   sum_ = 0.0;
 }
 
-AverageSnapshot MovingAverage::snapshot() const {
-  return AverageSnapshot{{samples_.begin(), samples_.end()}, sum_};
-}
-
-void MovingAverage::restore(const AverageSnapshot& state) {
-  samples_.assign(state.samples.begin(), state.samples.end());
-  sum_ = state.sum;
-  while (samples_.size() > window_) {
-    sum_ -= samples_.front();
-    samples_.pop_front();
-  }
-}
-
 IntervalAverage::IntervalAverage(std::size_t window) : diffs_(window) {}
 
 void IntervalAverage::add(double timestamp) {
@@ -57,15 +44,6 @@ std::optional<double> IntervalAverage::value() const {
 void IntervalAverage::reset() {
   diffs_.reset();
   last_.reset();
-}
-
-IntervalSnapshot IntervalAverage::snapshot() const {
-  return IntervalSnapshot{diffs_.snapshot(), last_};
-}
-
-void IntervalAverage::restore(const IntervalSnapshot& state) {
-  diffs_.restore(state.diffs);
-  last_ = state.last;
 }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) {

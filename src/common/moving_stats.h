@@ -9,25 +9,8 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
-#include <vector>
 
 namespace waif {
-
-/// Value snapshot of a MovingAverage, suitable for serialization. `sum` is
-/// captured verbatim rather than recomputed: the rolling add/subtract in
-/// MovingAverage::add leaves a rounding residue that re-summing the retained
-/// samples would not reproduce, and recovery must restore the average
-/// bit-for-bit for replayed runs to stay byte-identical.
-struct AverageSnapshot {
-  std::vector<double> samples;
-  double sum = 0.0;
-};
-
-/// Value snapshot of an IntervalAverage.
-struct IntervalSnapshot {
-  AverageSnapshot diffs;
-  std::optional<double> last;
-};
 
 /// Arithmetic mean over the most recent `window` samples.
 class MovingAverage {
@@ -42,13 +25,25 @@ class MovingAverage {
   void reset();
 
   std::size_t window() const { return window_; }
-  /// The retained samples, oldest first, and their running sum — what
-  /// snapshot() copies, for a caller that encodes them in place.
+  /// The retained samples, oldest first, and their running sum — what a
+  /// topic image holds of the average.
   const std::deque<double>& samples() const { return samples_; }
   double sum() const { return sum_; }
-  AverageSnapshot snapshot() const;
-  /// Replaces the retained samples with `state` (truncated to the window).
-  void restore(const AverageSnapshot& state);
+  /// Replaces the retained samples with `samples` (any range of doubles,
+  /// oldest first; truncated to the window) and the running sum with `sum`.
+  /// The sum is taken verbatim rather than recomputed: the rolling
+  /// add/subtract in add() leaves a rounding residue that re-summing the
+  /// samples would not reproduce, and a restored average must match the
+  /// live one bit for bit for replayed runs to stay byte-identical.
+  template <typename Samples>
+  void restore(const Samples& samples, double sum) {
+    samples_.assign(samples.begin(), samples.end());
+    sum_ = sum;
+    while (samples_.size() > window_) {
+      sum_ -= samples_.front();
+      samples_.pop_front();
+    }
+  }
 
  private:
   std::size_t window_;
@@ -72,8 +67,12 @@ class IntervalAverage {
   std::size_t window() const { return diffs_.window(); }
   const MovingAverage& diffs() const { return diffs_; }
   const std::optional<double>& last() const { return last_; }
-  IntervalSnapshot snapshot() const;
-  void restore(const IntervalSnapshot& state);
+  /// MovingAverage::restore of the differences, and the last timestamp.
+  template <typename Samples>
+  void restore(const Samples& samples, double sum, std::optional<double> last) {
+    diffs_.restore(samples, sum);
+    last_ = last;
+  }
 
  private:
   MovingAverage diffs_;

@@ -59,12 +59,6 @@ struct HealthSnapshot {
     if (queue_budget == 0) return 0.0;
     return static_cast<double>(queued) / static_cast<double>(queue_budget);
   }
-
-  /// Group-commit batching ratio (records per successful sync).
-  double group_commit_ratio() const {
-    if (wal_syncs == 0) return 0.0;
-    return static_cast<double>(wal_records) / static_cast<double>(wal_syncs);
-  }
 };
 
 /// Seeds a snapshot with the signals the proxy itself can answer: settled

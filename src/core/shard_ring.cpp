@@ -56,39 +56,6 @@ void ShardRing::remove_shard() {
   --shards_;
 }
 
-namespace {
-
-/// The diff between two rings over a key list: every key whose owner
-/// differs becomes one PlannedMove, in input order.
-std::vector<PlannedMove> diff_rings(const ShardRing& before,
-                                    const ShardRing& after,
-                                    const std::vector<std::string>& keys) {
-  std::vector<PlannedMove> moves;
-  for (const std::string& key : keys) {
-    const std::size_t from = before.shard_of_key(key);
-    const std::size_t to = after.shard_of_key(key);
-    if (from != to) moves.push_back(PlannedMove{key, from, to});
-  }
-  return moves;
-}
-
-}  // namespace
-
-std::vector<PlannedMove> ShardRing::plan_add(
-    const std::vector<std::string>& keys) const {
-  ShardRing grown = *this;
-  grown.add_shard();
-  return diff_rings(*this, grown, keys);
-}
-
-std::vector<PlannedMove> ShardRing::plan_remove(
-    const std::vector<std::string>& keys) const {
-  WAIF_CHECK(shards_ >= 2);
-  ShardRing shrunk = *this;
-  shrunk.remove_shard();
-  return diff_rings(*this, shrunk, keys);
-}
-
 std::size_t ShardRing::shard_of_hash(std::uint64_t key_hash) const {
   // First point strictly after the hash; wrap to the ring's start when the
   // hash lies beyond the last point.

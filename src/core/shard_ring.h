@@ -14,20 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace waif::core {
-
-/// One key an add/remove would re-home: its owner changes from shard `from`
-/// to shard `to`. The planning output of ShardRing::plan_add/plan_remove —
-/// the unit the migration protocol (experiments/shard_migration.h) executes.
-struct PlannedMove {
-  std::string key;
-  std::size_t from = 0;
-  std::size_t to = 0;
-};
 
 class ShardRing {
  public:
@@ -67,18 +57,6 @@ class ShardRing {
   /// owned change owner (each lands on the shard that owned it before the
   /// add). Requires shard_count() >= 2.
   void remove_shard();
-
-  /// Plans the rebalance an add_shard() would cause: which of `keys` move,
-  /// and from/to which shard. All moves have to == shard_count() (the new
-  /// shard). Pure planning — this ring is not modified; keys keep their
-  /// input order.
-  std::vector<PlannedMove> plan_add(const std::vector<std::string>& keys) const;
-
-  /// Plans the rebalance a remove_shard() would cause. All moves have
-  /// from == shard_count() - 1 (the removed shard) — the mirror property of
-  /// plan_add. Requires shard_count() >= 2.
-  std::vector<PlannedMove> plan_remove(
-      const std::vector<std::string>& keys) const;
 
   /// Deterministic 64-bit hash of a byte string (FNV-1a folded through a
   /// splitmix64 finalizer). Stable across platforms and runs by

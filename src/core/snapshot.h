@@ -1,74 +1,71 @@
-// Value-type snapshots of the proxy's per-topic state and of the reliable
-// channel's delivery window — what the storage layer checkpoints and what
-// recovery restores.
+// The durable images of the proxy: a TopicState's topic image, described
+// here by its sections and the one sink protocol every walk of it uses, and
+// the reliable channel's delivery window.
 //
-// Everything here is plain data (notification copies, ids, doubles): a
-// snapshot can be serialized, diffed in tests, and applied to a freshly
-// constructed TopicState/ReliableDeviceChannel. Collections are kept in a
-// canonical order (queues by rank, id sets sorted) so equal states always
-// produce byte-equal serializations.
+// A topic image is bytes (storage/snapshot.h lays them out). Two producers
+// walk one, and three consumers take it, through one sink protocol:
+//
+//   producers  TopicState::write_image, over live state;
+//              storage::read_topic_image, over bytes.
+//   consumers  storage::TopicImageEncoder, which writes the bytes;
+//              TopicState::Restorer, which fills a fresh TopicState;
+//              storage::TopicImageShape, which only counts — reading an
+//              image into it validates and measures the image before any
+//              TopicState sees it.
+//
+// A sink provides, called in ImageSection order:
+//
+//   void begin(ImageSection section, std::size_t count);
+//   void event(const pubsub::Notification& event);
+//   void delayed(const pubsub::Notification& event, SimTime release_at);
+//   void armed(std::uint64_t id, SimTime expires_at);
+//   void ids(ImageSection section, const std::vector<std::uint64_t>& sorted);
+//   template <typename Samples>
+//   void average(ImageSection section, const Samples& samples, double sum,
+//                std::optional<double> last);
+//   void scalars(std::uint64_t queue_size_view, double rate_credit,
+//                std::int64_t current_day, std::uint64_t forwarded_today);
+//
+// Each event, delay and armed list opens with begin() and its count; each
+// id list arrives whole and sorted; each moving average arrives as its
+// samples (oldest first), its running sum and, for the two interval
+// averages, the last timestamp; `Samples` is any sized range of doubles.
+// write_image also borrows `std::vector<std::uint64_t>& scratch_ids()` from
+// its sink for its sorts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/moving_stats.h"
-#include "common/time.h"
-#include "pubsub/notification.h"
-
 namespace waif::core {
 
-/// An event sitting in the delay stage, with its release instant.
-struct DelayedSnapshot {
-  pubsub::Notification event;
-  SimTime release_at = 0;
-};
-
-/// An armed expiration timer. Kept separately from queue membership because
-/// the two diverge: a forwarded event keeps its timer, and an event pushed
-/// straight to outgoing never had one.
-struct ArmedExpiration {
-  std::uint64_t id = 0;
-  SimTime expires_at = 0;
-};
-
-/// The lists of a topic image, in the canonical order TopicState::write_image
-/// visits them and the storage codec lays them out (the moving averages and
-/// the scalars follow the last one).
+/// The sections of a topic image, in the order every producer walks them
+/// and the storage codec lays them out (the scalars follow the last one).
 enum class ImageSection : std::uint8_t {
-  kOutgoing,   // events, rank order
-  kPrefetch,   // events, rank order
-  kHolding,    // events, rank order
-  kDelayed,    // delay-stage events with release instants, by id
-  kHistory,    // events, insertion (FIFO) order
-  kForwarded,  // ids, sorted
-  kArmed,      // armed expirations, by id
-  kSeenReads,  // ids, sorted
-  kSeenSyncs,  // ids, sorted
+  kOutgoing,      // events, rank order
+  kPrefetch,      // events, rank order
+  kHolding,       // events, rank order
+  kDelayed,       // delay-stage events with release instants, by id
+  kHistory,       // events, insertion (FIFO) order
+  kForwarded,     // ids, sorted
+  kArmed,         // armed expirations, by id
+  kSeenReads,     // ids, sorted
+  kSeenSyncs,     // ids, sorted
+  kOldReads,      // moving average of read sizes
+  kReadTimes,     // interval average of read instants (has a last)
+  kExpTimes,      // moving average of event lifetimes
+  kArrivalTimes,  // interval average of arrival instants (has a last)
 };
 
-/// Full durable state of one TopicState (stats excluded — counters are
-/// observability, not behaviour; the day budget, which *is* behaviour, is
-/// included).
-struct TopicSnapshot {
-  std::vector<pubsub::Notification> outgoing;  // rank order
-  std::vector<pubsub::Notification> prefetch;  // rank order
-  std::vector<pubsub::Notification> holding;   // rank order
-  std::vector<DelayedSnapshot> delayed;        // sorted by id
-  std::vector<pubsub::Notification> history;   // insertion (FIFO) order
-  std::vector<std::uint64_t> forwarded;        // sorted
-  std::vector<ArmedExpiration> expiration_armed;  // sorted by id
-  std::vector<std::uint64_t> seen_read_ids;    // sorted
-  std::vector<std::uint64_t> seen_sync_ids;    // sorted
-  AverageSnapshot old_reads;
-  IntervalSnapshot read_times;
-  AverageSnapshot exp_times;
-  IntervalSnapshot arrival_times;
-  std::uint64_t queue_size_view = 0;
-  double rate_credit = 0.0;
-  std::int64_t current_day = 0;
-  std::uint64_t forwarded_today = 0;
-};
+inline constexpr std::size_t kImageSections =
+    static_cast<std::size_t>(ImageSection::kArrivalTimes) + 1;
+
+/// The interval averages carry the last timestamp they saw.
+constexpr bool has_last(ImageSection section) {
+  return section == ImageSection::kReadTimes ||
+         section == ImageSection::kArrivalTimes;
+}
 
 /// Durable state of the proxy side of a ReliableDeviceChannel: the sequence
 /// counter (so a recovered proxy never reuses a seq the device has seen) and

@@ -740,127 +740,61 @@ std::optional<double> TopicState::history_rank(NotificationId id) const {
   return it->second->rank;
 }
 
-// ---------------------------------------------------------- snapshot/restore
+// ------------------------------------------------------------------- restore
 
-namespace {
-
-/// write_image sink that collects the walk into a TopicSnapshot.
-class SnapshotCollector {
- public:
-  explicit SnapshotCollector(TopicSnapshot& snap) : snap_(snap) {}
-
-  std::vector<std::uint64_t>& scratch_ids() { return scratch_; }
-  void begin(ImageSection section, std::size_t count) {
-    events_ = events_of(section);
-    if (events_ != nullptr) events_->reserve(count);
-  }
-  void event(const pubsub::Notification& event) { events_->push_back(event); }
-  void delayed(const pubsub::Notification& event, SimTime release_at) {
-    snap_.delayed.push_back({event, release_at});
-  }
-  void armed(std::uint64_t id, SimTime expires_at) {
-    snap_.expiration_armed.push_back({id, expires_at});
-  }
-  void ids(ImageSection section, const std::vector<std::uint64_t>& sorted) {
-    if (section == ImageSection::kForwarded) {
-      snap_.forwarded = sorted;
-    } else if (section == ImageSection::kSeenReads) {
-      snap_.seen_read_ids = sorted;
-    } else {
-      snap_.seen_sync_ids = sorted;
-    }
-  }
-  void averages(const MovingAverage& old_reads,
-                const IntervalAverage& read_times,
-                const MovingAverage& exp_times,
-                const IntervalAverage& arrival_times) {
-    snap_.old_reads = old_reads.snapshot();
-    snap_.read_times = read_times.snapshot();
-    snap_.exp_times = exp_times.snapshot();
-    snap_.arrival_times = arrival_times.snapshot();
-  }
-  void scalars(std::uint64_t queue_size_view, double rate_credit,
-               std::int64_t current_day, std::uint64_t forwarded_today) {
-    snap_.queue_size_view = queue_size_view;
-    snap_.rate_credit = rate_credit;
-    snap_.current_day = current_day;
-    snap_.forwarded_today = forwarded_today;
-  }
-
- private:
-  /// The snapshot's list for an event section; nullptr for the delay stage
-  /// and the armed timers, which arrive through their own calls.
-  std::vector<pubsub::Notification>* events_of(ImageSection section) {
-    switch (section) {
-      case ImageSection::kOutgoing:
-        return &snap_.outgoing;
-      case ImageSection::kPrefetch:
-        return &snap_.prefetch;
-      case ImageSection::kHolding:
-        return &snap_.holding;
-      case ImageSection::kHistory:
-        return &snap_.history;
-      default:
-        return nullptr;
-    }
-  }
-
-  TopicSnapshot& snap_;
-  std::vector<pubsub::Notification>* events_ = nullptr;
-  std::vector<std::uint64_t> scratch_;
-};
-
-}  // namespace
-
-TopicSnapshot TopicState::snapshot() const {
-  TopicSnapshot snap;
-  SnapshotCollector collector(snap);
-  write_image(collector);
-  return snap;
+TopicState::Restorer::Restorer(TopicState& state) : state_(state) {
+  // Only a freshly constructed TopicState may be restored into.
+  WAIF_CHECK(state.stats_.arrivals == 0 && state.history_.empty() &&
+             state.outgoing_.empty() && state.forwarded_.empty());
 }
 
-void TopicState::restore(const TopicSnapshot& state) {
-  // Only a freshly constructed TopicState may be restored into.
-  WAIF_CHECK(stats_.arrivals == 0 && history_.empty() && outgoing_.empty() &&
-             forwarded_.empty());
+void TopicState::Restorer::event(const pubsub::Notification& event) {
+  auto copy = std::make_shared<const pubsub::Notification>(event);
+  switch (section_) {
+    case ImageSection::kOutgoing:
+      state_.outgoing_.insert(copy);
+      break;
+    case ImageSection::kPrefetch:
+      state_.prefetch_.insert(copy);
+      break;
+    case ImageSection::kHolding:
+      state_.holding_.insert(copy);
+      break;
+    default:  // kHistory
+      state_.record_history(copy);
+      break;
+  }
+}
 
-  const auto fill_queue = [](const std::vector<pubsub::Notification>& in,
-                             RankedQueue& queue) {
-    for (const pubsub::Notification& event : in) {
-      queue.insert(std::make_shared<const pubsub::Notification>(event));
-    }
-  };
-  fill_queue(state.outgoing, outgoing_);
-  fill_queue(state.prefetch, prefetch_);
-  fill_queue(state.holding, holding_);
-
+void TopicState::Restorer::delayed(const pubsub::Notification& event,
+                                   SimTime release_at) {
   // Instants that passed while the proxy was down fire now.
-  for (const DelayedSnapshot& delayed : state.delayed) {
-    arm_delay(std::make_shared<const pubsub::Notification>(delayed.event),
-              delayed.release_at);
+  state_.arm_delay(std::make_shared<const pubsub::Notification>(event),
+                   release_at);
+}
+
+void TopicState::Restorer::armed(std::uint64_t id, SimTime expires_at) {
+  state_.arm_expiration(NotificationId{id}, expires_at);
+}
+
+void TopicState::Restorer::ids(ImageSection section,
+                               const std::vector<std::uint64_t>& sorted) {
+  if (section == ImageSection::kForwarded) {
+    state_.forwarded_.insert(sorted.begin(), sorted.end());
+  } else {
+    (section == ImageSection::kSeenReads ? state_.seen_read_ids_
+                                         : state_.seen_sync_ids_)
+        .insert(sorted.begin(), sorted.end());
   }
+}
 
-  for (const pubsub::Notification& event : state.history) {
-    record_history(std::make_shared<const pubsub::Notification>(event));
-  }
-
-  forwarded_.insert(state.forwarded.begin(), state.forwarded.end());
-
-  for (const ArmedExpiration& armed : state.expiration_armed) {
-    arm_expiration(NotificationId{armed.id}, armed.expires_at);
-  }
-
-  seen_read_ids_.insert(state.seen_read_ids.begin(), state.seen_read_ids.end());
-  seen_sync_ids_.insert(state.seen_sync_ids.begin(), state.seen_sync_ids.end());
-
-  old_reads_.restore(state.old_reads);
-  read_times_.restore(state.read_times);
-  exp_times_.restore(state.exp_times);
-  arrival_times_.restore(state.arrival_times);
-  queue_size_view_ = static_cast<std::size_t>(state.queue_size_view);
-  rate_credit_ = state.rate_credit;
-  current_day_ = state.current_day;
-  forwarded_today_ = static_cast<std::size_t>(state.forwarded_today);
+void TopicState::Restorer::scalars(std::uint64_t queue_size_view,
+                                   double rate_credit, std::int64_t current_day,
+                                   std::uint64_t forwarded_today) {
+  state_.queue_size_view_ = static_cast<std::size_t>(queue_size_view);
+  state_.rate_credit_ = rate_credit;
+  state_.current_day_ = current_day;
+  state_.forwarded_today_ = static_cast<std::size_t>(forwarded_today);
 }
 
 // ----------------------------------------------------------------- WAL replay

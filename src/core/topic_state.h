@@ -125,40 +125,23 @@ class TopicState {
   /// queued. The proxy's global-budget enforcement calls this directly.
   bool shed_one();
 
-  /// Captures the full durable state (see core/snapshot.h): write_image
-  /// into a sink that collects a TopicSnapshot.
-  TopicSnapshot snapshot() const;
-
-  /// Walks the full durable state in TopicSnapshot's canonical order, with no
-  /// copy of it: the one definition of that order, shared by snapshot() and
-  /// the storage layer's checkpoint encoder. `sink` provides
-  ///
-  ///   std::vector<std::uint64_t>& scratch_ids();  // lent for the sorts
-  ///   void begin(ImageSection section, std::size_t count);
-  ///   void event(const pubsub::Notification& event);
-  ///   void delayed(const pubsub::Notification& event, SimTime release_at);
-  ///   void armed(std::uint64_t id, SimTime expires_at);
-  ///   void ids(ImageSection section, const std::vector<std::uint64_t>& sorted);
-  ///   void averages(const MovingAverage& old_reads,
-  ///                 const IntervalAverage& read_times,
-  ///                 const MovingAverage& exp_times,
-  ///                 const IntervalAverage& arrival_times);
-  ///   void scalars(std::uint64_t queue_size_view, double rate_credit,
-  ///                std::int64_t current_day, std::uint64_t forwarded_today);
-  ///
-  /// Each event, delay and armed list opens with begin() and its count; each
-  /// id list arrives whole and sorted, in the scratch vector.
+  /// Walks the full durable state — the topic image — in ImageSection
+  /// order into `sink` (the sink protocol of core/snapshot.h), with no copy
+  /// of it: the one definition of that order, used by every checkpoint, the
+  /// WAL's kAdopt record and every migration shipment.
   template <typename Sink>
   void write_image(Sink& sink) const;
 
-  /// Fills a freshly constructed TopicState from a snapshot: rebuilds the
-  /// queues, history, averages and day budget, and re-arms the recorded
-  /// expiration timers (instants already in the past are clamped to now and
-  /// fire immediately, purging entries that expired while the proxy was
-  /// down). Does not forward anything — the caller drives handle_network/
-  /// try_forwarding once wiring is complete. Must be called before any
-  /// other entry point.
-  void restore(const TopicSnapshot& state);
+  /// The restoring sink: fills a freshly constructed TopicState from a
+  /// topic image (storage::restore_topic_image feeds it one a counting pass
+  /// has already accepted, so a restore never stops half way). It rebuilds
+  /// the queues, history, averages and day budget and re-arms the delay and
+  /// expiration timers as their entries arrive, in image order; instants
+  /// already in the past are clamped to now and fire immediately, purging
+  /// entries that expired while the proxy was down. It forwards nothing —
+  /// the caller drives handle_network/try_forwarding once wiring is
+  /// complete. Constructed before any other entry point is called.
+  class Restorer;
 
   // --- WAL replay (storage/persistence.h, replay_wal_record) ---------------
   //
@@ -167,7 +150,7 @@ class TopicState {
   // containers, averages and scalars at the record's instant `at` — never
   // the simulator clock. Replay never journals, forwards or sheds, and
   // never calls the overflow hook. Timers are armed and cancelled as the
-  // live path does, at max(instant, now), the clamp restore() uses.
+  // live path does, at max(instant, now), the clamp a Restorer uses.
 
   void replay_enqueue(const EnqueueRecord& record);
   void replay_forward(const pubsub::Notification& event, SimTime at,
@@ -428,6 +411,36 @@ void TopicState::sorted_ids(const Container& container,
   std::sort(ids.begin(), ids.end());
 }
 
+class TopicState::Restorer {
+ public:
+  explicit Restorer(TopicState& state);
+
+  void begin(ImageSection section, std::size_t) { section_ = section; }
+  void event(const pubsub::Notification& event);
+  void delayed(const pubsub::Notification& event, SimTime release_at);
+  void armed(std::uint64_t id, SimTime expires_at);
+  void ids(ImageSection section, const std::vector<std::uint64_t>& sorted);
+  template <typename Samples>
+  void average(ImageSection section, const Samples& samples, double sum,
+               std::optional<double> last) {
+    if (section == ImageSection::kOldReads) {
+      state_.old_reads_.restore(samples, sum);
+    } else if (section == ImageSection::kExpTimes) {
+      state_.exp_times_.restore(samples, sum);
+    } else {
+      (section == ImageSection::kReadTimes ? state_.read_times_
+                                           : state_.arrival_times_)
+          .restore(samples, sum, last);
+    }
+  }
+  void scalars(std::uint64_t queue_size_view, double rate_credit,
+               std::int64_t current_day, std::uint64_t forwarded_today);
+
+ private:
+  TopicState& state_;
+  ImageSection section_ = ImageSection::kOutgoing;
+};
+
 template <typename Sink>
 void TopicState::write_image(Sink& sink) const {
   const auto queue = [&sink](ImageSection section, const RankedQueue& events) {
@@ -480,7 +493,15 @@ void TopicState::write_image(Sink& sink) const {
   sorted_ids(seen_sync_ids_, ids);
   sink.ids(ImageSection::kSeenSyncs, ids);
 
-  sink.averages(old_reads_, read_times_, exp_times_, arrival_times_);
+  const std::optional<double> none;
+  sink.average(ImageSection::kOldReads, old_reads_.samples(), old_reads_.sum(),
+               none);
+  sink.average(ImageSection::kReadTimes, read_times_.diffs().samples(),
+               read_times_.diffs().sum(), read_times_.last());
+  sink.average(ImageSection::kExpTimes, exp_times_.samples(), exp_times_.sum(),
+               none);
+  sink.average(ImageSection::kArrivalTimes, arrival_times_.diffs().samples(),
+               arrival_times_.diffs().sum(), arrival_times_.last());
   sink.scalars(queue_size_view_, rate_credit_, current_day_, forwarded_today_);
 }
 

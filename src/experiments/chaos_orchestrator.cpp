@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -17,7 +18,6 @@
 #include "core/proxy.h"
 #include "core/replication.h"
 #include "core/reliable_channel.h"
-#include "core/snapshot.h"
 #include "device/device.h"
 #include "experiments/elastic_chaos.h"
 #include "net/link.h"
@@ -114,30 +114,30 @@ std::vector<TopicTrace> build_traces(const ChaosSchedule& schedule) {
   return traces;
 }
 
-/// Compact shape summary of a topic image, for violation details.
-std::string image_shape(const core::TopicSnapshot& state) {
-  auto ids = [](const std::vector<pubsub::Notification>& events) {
-    std::string out;
-    for (const pubsub::Notification& event : events) {
-      if (!out.empty()) out += ',';
-      out += std::to_string(event.id.value);
+/// Compact shape summary of a topic image, for violation details: the ids
+/// in its three queues, and its other sections' sizes as the counting sink
+/// measures them.
+std::string image_shape(std::span<const std::uint8_t> image) {
+  struct Shape : storage::TopicImageShape {
+    std::string queues[3];  // outgoing, prefetch, holding
+    void event(const pubsub::Notification& event) {
+      const auto queue = static_cast<std::size_t>(section);
+      if (queue >= std::size(queues)) return;  // history
+      if (!queues[queue].empty()) queues[queue] += ',';
+      queues[queue] += std::to_string(event.id.value);
     }
-    return out.empty() ? std::string("-") : out;
+  } shape;
+  if (!storage::read_topic_image(image, shape)) return "undecodable";
+  const auto ids = [](const std::string& queue) {
+    return queue.empty() ? std::string("-") : queue;
   };
-  return "out[" + ids(state.outgoing) + "] pre[" + ids(state.prefetch) +
-         "] hold[" + ids(state.holding) + "] delayed:" +
-         std::to_string(state.delayed.size()) + " hist:" +
-         std::to_string(state.history.size()) + " fwd:" +
-         std::to_string(state.forwarded.size()) + " credit:" +
-         std::to_string(state.rate_credit);
-}
-
-/// A TopicSnapshot's canonical serialization, for byte-comparisons.
-std::vector<std::uint8_t> canonical_bytes(const std::string& topic,
-                                          const core::TopicSnapshot& state) {
-  storage::ProxySnapshot wrapper;
-  wrapper.topics.emplace_back(topic, state);
-  return storage::encode_snapshot(wrapper);
+  using core::ImageSection;
+  return "out[" + ids(shape.queues[0]) + "] pre[" + ids(shape.queues[1]) +
+         "] hold[" + ids(shape.queues[2]) + "] delayed:" +
+         std::to_string(shape.count(ImageSection::kDelayed)) + " hist:" +
+         std::to_string(shape.count(ImageSection::kHistory)) + " fwd:" +
+         std::to_string(shape.count(ImageSection::kForwarded)) + " credit:" +
+         std::to_string(shape.rate_credit);
 }
 
 /// Guards the proxy -> channel boundary: an expired notification handed to
@@ -828,17 +828,13 @@ class ChaosHarness {
       ++outcome_.image_skips;
       return;
     }
-    std::map<std::string, core::TopicSnapshot> replayed;
-    for (const auto& [name, image] : recovery.state.topics) {
-      replayed.emplace(name, image);
-    }
+    // recover() rebuilds every configured topic, logged or not.
     for (const auto& [name, config] : configs_) {
-      core::TopicSnapshot recovered;  // empty when nothing was logged
-      if (auto it = replayed.find(name); it != replayed.end()) {
-        recovered = it->second;
-      }
-      const core::TopicSnapshot live = attached->topic(name)->snapshot();
-      if (canonical_bytes(name, recovered) != canonical_bytes(name, live)) {
+      const std::span<const std::uint8_t> recovered =
+          recovery.state.image(name);
+      const std::vector<std::uint8_t> live =
+          storage::topic_image(*attached->topic(name));
+      if (!std::ranges::equal(recovered, live)) {
         monitor_.record("image-equality",
                         name + ": durable image diverged from live state (" +
                             image_shape(recovered) + " vs " +

@@ -14,7 +14,6 @@
 #include "core/channel.h"
 #include "core/forwarding_policy.h"
 #include "core/proxy.h"
-#include "core/snapshot.h"
 #include "experiments/drain_queue.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
@@ -751,18 +750,29 @@ class ElasticRun {
     return false;
   }
 
-  bool journal_append_retry(MigrationRecord record, Rng& rng, SimTime* now) {
+  /// One durable migration step, retried: each attempt charges `latency`,
+  /// draws whether the storage fault fails it and, if not, tries `step`; a
+  /// failed attempt counts a retry and backs off, up to
+  /// kMigrationMaxAttempts. False when every attempt failed.
+  template <typename Step>
+  bool retried(SimDuration latency, Rng& rng, SimTime* now, Step&& step) {
     for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
          ++attempt) {
-      *now += kMigrationJournalLatency;
-      record.at = *now;
-      if (!op_fails(*now, rng) && journal_.append(record)) return true;
+      *now += latency;
+      if (!op_fails(*now, rng) && step()) return true;
       if (attempt < kMigrationMaxAttempts) {
         ++migration_retries_;
         *now += migration_backoff(attempt);
       }
     }
     return false;
+  }
+
+  bool journal_append_retry(MigrationRecord record, Rng& rng, SimTime* now) {
+    return retried(kMigrationJournalLatency, rng, now, [&] {
+      record.at = *now;
+      return journal_.append(record);
+    });
   }
 
   /// Fires any armed crash fault matching the just-committed stage. Returns
@@ -825,9 +835,10 @@ class ElasticRun {
     // recover() resurrects every topic it finds in the snapshot + WAL; only
     // the journal-owned ones are restored (a stale image of a migrated-away
     // topic must not come back — it ages out at the next checkpoint).
-    for (const auto& [name, state] : recovery.state.topics) {
-      if (node.owned.count(name) == 0) continue;
-      node.proxy->topic(name)->restore(state);
+    for (const storage::TopicImageRange& image : recovery.state.topics) {
+      if (node.owned.count(image.name) == 0) continue;
+      WAIF_CHECK(storage::restore_topic_image(recovery.state.image(image),
+                                              *node.proxy->topic(image.name)));
     }
     node.persistence = std::make_unique<storage::ProxyPersistence>(
         node.sim, node.backend, config_.persistence);
@@ -922,30 +933,22 @@ class ElasticRun {
       source = source_lineage_.emplace(from, std::move(read)).first;
     }
     const TopicLineage lineage = pick_topic_lineage(source->second, name);
-    source_lineage_.erase(to);
     const std::vector<std::uint8_t> image_bytes =
         encode_topic_image(name, lineage.image);
     const std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
+    const std::uint64_t tail_records = lineage.tail.size();
+    source_lineage_.erase(to);
     const auto durable_put = [&](const std::string& blob,
                                  const std::vector<std::uint8_t>& bytes) {
-      for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
-           ++attempt) {
-        now += config_.migration.ship_latency;
-        if (!op_fails(now, rng)) {
-          dst.backend.write(blob, bytes);
-          if (dst.backend.sync(blob)) return true;
-        }
-        if (attempt < kMigrationMaxAttempts) {
-          ++migration_retries_;
-          now += migration_backoff(attempt);
-        }
-      }
-      return false;
+      return retried(config_.migration.ship_latency, rng, &now, [&] {
+        dst.backend.write(blob, bytes);
+        return dst.backend.sync(blob);
+      });
     };
     if (!durable_put(migration_image_blob(id), image_bytes)) return rollback();
     if (!durable_put(migration_tail_blob(id), tail_bytes)) return rollback();
     if (!journal_step(MigrationStage::kShipped, lineage.watermark,
-                      lineage.tail.size())) {
+                      tail_records)) {
       return rollback();
     }
     if (maybe_crash(MigrationStage::kShipped, id, from, to, &now)) {
@@ -961,25 +964,15 @@ class ElasticRun {
       return rollback();
     }
     now += config_.migration.replay_latency;
-    if (!replay_shipped_topic(image_read, tail_read, lineage.tail.size(), name,
-                              elastic_topic_config(), *dst.proxy)) {
+    if (!replay_shipped_topic(std::move(image_read), tail_read, tail_records,
+                              name, elastic_topic_config(), *dst.proxy)) {
       return rollback();
     }
     dst.owned.emplace(name, elastic_topic_config());
-    bool folded = false;
-    for (std::uint32_t attempt = 1; attempt <= kMigrationMaxAttempts;
-         ++attempt) {
-      now += config_.migration.fold_latency;
-      if (!op_fails(now, rng) && dst.persistence->adopt(name)) {
-        folded = true;
-        break;
-      }
-      if (attempt < kMigrationMaxAttempts) {
-        ++migration_retries_;
-        now += migration_backoff(attempt);
-      }
+    if (!retried(config_.migration.fold_latency, rng, &now,
+                 [&] { return dst.persistence->adopt(name); })) {
+      return rollback();
     }
-    if (!folded) return rollback();
     if (!journal_step(MigrationStage::kReplayed, 0, 0)) return rollback();
     if (maybe_crash(MigrationStage::kReplayed, id, from, to, &now)) {
       return rollback();

@@ -163,15 +163,6 @@ MigrationResume migration_resume_action(MigrationStage stage) {
   return MigrationResume::kNone;
 }
 
-std::map<std::uint64_t, MigrationRecord> latest_migration_records(
-    const std::vector<MigrationRecord>& records) {
-  std::map<std::uint64_t, MigrationRecord> latest;
-  for (const MigrationRecord& record : records) {
-    latest[record.id] = record;
-  }
-  return latest;
-}
-
 std::map<std::string, std::uint32_t> derive_owners(
     std::map<std::string, std::uint32_t> initial,
     const std::vector<MigrationRecord>& records) {
@@ -194,14 +185,11 @@ SimDuration migration_backoff(std::uint32_t retry) {
 bool read_node_lineage(const storage::StorageBackend& backend,
                        NodeLineage* out) {
   *out = NodeLineage{};
-
-  storage::ProxySnapshot snapshot;
   std::uint64_t seq = 0;
   std::uint64_t damaged = 0;
-  const bool from_snapshot =
-      load_latest_snapshot(backend, &snapshot, &seq, &damaged);
+  load_latest_snapshot(backend, &out->snapshot, &seq, &damaged);
 
-  const std::uint64_t watermark = from_snapshot ? snapshot.watermark : 0;
+  const std::uint64_t watermark = out->snapshot.watermark;
   std::uint64_t index = 0;
   const storage::WalScan wal =
       scan_wal(backend, storage::kWalBlobName,
@@ -213,49 +201,36 @@ bool read_node_lineage(const storage::StorageBackend& backend,
     *out = NodeLineage{};
     return false;
   }
-  out->watermark = watermark;
-  if (from_snapshot) {
-    for (auto& [name, image] : snapshot.topics) {
-      out->images.emplace(std::move(name), std::move(image));
-    }
-  }
   return true;
 }
 
 TopicLineage pick_topic_lineage(const NodeLineage& node,
                                 const std::string& topic) {
   TopicLineage lineage;
-  lineage.watermark = node.watermark;
-  const auto image = node.images.find(topic);
-  if (image != node.images.end()) {
-    lineage.image = image->second;
-    lineage.has_image = true;
-  }
+  lineage.image = node.snapshot.image(topic);
+  lineage.watermark = node.snapshot.watermark;
   const auto tail = node.tails.find(topic);
   if (tail != node.tails.end()) lineage.tail = tail->second;
   return lineage;
 }
 
-bool extract_topic_lineage(const storage::StorageBackend& backend,
-                           const std::string& topic, TopicLineage* out) {
-  NodeLineage node;
-  if (!read_node_lineage(backend, &node)) return false;
-  *out = pick_topic_lineage(node, topic);
-  return true;
-}
-
 std::vector<std::uint8_t> encode_topic_image(
-    const std::string& topic, const core::TopicSnapshot& image) {
-  storage::ProxySnapshot snapshot;
-  snapshot.watermark = 0;  // the shipped tail replays in full on top
-  snapshot.taken_at = 0;
-  snapshot.has_channel = false;
-  snapshot.topics.emplace_back(topic, image);
-  return storage::encode_snapshot(snapshot);
+    const std::string& topic, std::span<const std::uint8_t> image) {
+  storage::ByteWriter blob;
+  // Watermark 0: the shipped tail replays in full on top.
+  storage::begin_snapshot(blob, 0, 0, nullptr, 1);
+  blob.str(topic);
+  if (image.empty()) {
+    storage::encode_empty_topic_image(blob);
+  } else {
+    blob.raw(image.data(), image.size());
+  }
+  storage::finish_snapshot(blob);
+  return blob.take();
 }
 
 std::vector<std::uint8_t> encode_wal_tail(
-    const std::vector<storage::WalRecord>& records) {
+    std::span<const storage::WalRecord> records) {
   std::vector<std::uint8_t> bytes;
   for (const storage::WalRecord& record : records) {
     const std::vector<std::uint8_t> frame = storage::encode_wal_record(record);
@@ -264,14 +239,14 @@ std::vector<std::uint8_t> encode_wal_tail(
   return bytes;
 }
 
-bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
+bool replay_shipped_topic(std::vector<std::uint8_t> image_bytes,
                           const std::vector<std::uint8_t>& tail_bytes,
                           std::uint64_t expected_tail, const std::string& topic,
                           const core::TopicConfig& config, core::Proxy& dest) {
   storage::ProxySnapshot image;
-  if (!storage::decode_snapshot(image_bytes, &image)) return false;
+  if (!storage::decode_snapshot(std::move(image_bytes), &image)) return false;
   if (image.topics.size() != 1 || image.watermark != 0 ||
-      image.topics.front().first != topic) {
+      image.topics.front().name != topic) {
     return false;
   }
   std::vector<storage::WalRecord> tail;
@@ -291,9 +266,12 @@ bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
     return false;
   }
 
+  // Both images were validated above, by decode_snapshot and the scan.
   core::TopicState& state = dest.add_topic(topic, config);
-  state.restore(from == 0 ? image.topics.front().second
-                          : *tail[from - 1].adopted);
+  WAIF_CHECK(storage::restore_topic_image(
+      from == 0 ? image.image(image.topics.front())
+                : std::span<const std::uint8_t>(tail[from - 1].adopted),
+      state));
   for (; from < tail.size(); ++from) {
     storage::replay_wal_record(state, tail[from]);
   }

@@ -19,18 +19,20 @@
 // single source of truth both the resumed coordinator and the crash-point
 // tests use).
 //
-// Shipping reuses the durability layer wholesale: the source's topic state
-// travels as a single-topic ProxySnapshot in the standard snapshot encoding
-// (storage/snapshot.h), its WAL tail as standard CRC-framed WAL records, and
-// the destination rebuilds the topic in place the way crash recovery does —
-// restore the image into a fresh TopicState, then replay the tail through
-// the same per-record dispatch (storage::replay_wal_record) — and folds it
-// into its own WAL as one kAdopt record (ProxyPersistence::adopt). Every
-// step costs the moved topic, not the node: a source's lineage is decoded
-// once (read_node_lineage) and each moved topic picked from it. Storage
-// faults during any durable step are absorbed by deterministic
-// retry/backoff (sim-time, no wall clock); exhausting the attempts before
-// the flip aborts the migration, which is always safe.
+// Shipping reuses the durability layer wholesale: the source's topic image
+// travels as a single-topic snapshot blob in the standard encoding
+// (storage/snapshot.h) — the source checkpoint's own bytes for the topic,
+// never decoded, copied into a value or re-encoded on the way — its WAL
+// tail as standard CRC-framed WAL records, and the destination rebuilds the
+// topic in place the way crash recovery does — restore the image into a
+// fresh TopicState, then replay the tail through the same per-record
+// dispatch (storage::replay_wal_record) — and folds it into its own WAL as
+// one kAdopt record (ProxyPersistence::adopt). Every step costs the moved
+// topic, not the node: a source's lineage is read once (read_node_lineage)
+// and each moved topic picked from it. Storage faults during any durable
+// step are absorbed by deterministic retry/backoff (sim-time, no wall
+// clock); exhausting the attempts before the flip aborts the migration,
+// which is always safe.
 //
 // This header is fleet-agnostic: the elastic fleet (elastic_fleet.h) drives
 // the protocol; everything here is the journal, the resume rule and the
@@ -39,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,8 +49,8 @@
 #include "common/time.h"
 #include "core/forwarding_policy.h"
 #include "core/proxy.h"
-#include "core/snapshot.h"
 #include "storage/backend.h"
+#include "storage/snapshot.h"
 #include "storage/wal.h"
 
 namespace waif::experiments {
@@ -154,10 +157,6 @@ enum class MigrationResume : std::uint8_t {
 };
 MigrationResume migration_resume_action(MigrationStage stage);
 
-/// The newest record of each migration id, in journal order.
-std::map<std::uint64_t, MigrationRecord> latest_migration_records(
-    const std::vector<MigrationRecord>& records);
-
 /// Journal-derived topic ownership: starts from `initial` (the ring
 /// placement before any migration) and applies every kFlipped record in
 /// journal order. This — not coordinator memory — is the authority the
@@ -198,34 +197,19 @@ struct MigrationConfig {
 /// min(kMigrationBackoffCap, kMigrationBackoffBase * 2^(retry-1)).
 SimDuration migration_backoff(std::uint32_t retry);
 
-/// One topic's durable lineage extracted from a source backend: the newest
-/// valid snapshot's image of the topic (empty when the topic predates every
-/// snapshot) plus the topic's WAL records past the snapshot watermark.
-struct TopicLineage {
-  core::TopicSnapshot image;
-  bool has_image = false;
-  /// Source WAL records folded into `image` (0 without a snapshot).
-  std::uint64_t watermark = 0;
-  /// The topic's records at indices >= watermark, in log order. For a
-  /// topic that moved onto the source since that snapshot this includes its
-  /// kAdopt record, which on replay replaces the (stale or missing) image
-  /// and every record before it.
-  std::vector<storage::WalRecord> tail;
-};
-
-/// A whole source backend's durable lineage, decoded once: the newest valid
-/// snapshot's per-topic images and every WAL record past its watermark,
-/// bucketed by topic. Picking a topic from it costs the topic, not the node.
+/// A whole source backend's durable lineage, read once: the newest valid
+/// snapshot (its bytes hold every topic's image) and every WAL record past
+/// its watermark, bucketed by topic. Picking a topic from it costs the
+/// topic, not the node.
 struct NodeLineage {
-  /// Source WAL records folded into `images` (0 without a snapshot).
-  std::uint64_t watermark = 0;
-  std::map<std::string, core::TopicSnapshot> images;
-  /// Per topic, its records at indices >= watermark, in log order.
+  /// Watermark 0 and no topics without a snapshot.
+  storage::ProxySnapshot snapshot;
+  /// Per topic, its records at indices >= the watermark, in log order.
   std::map<std::string, std::vector<storage::WalRecord>> tails;
 };
 
-/// Decodes `backend`'s lineage. False when it is unusable (snapshot
-/// watermark beyond the log — fsck's unrecoverable case).
+/// Reads `backend`'s lineage. False when it is unusable (snapshot watermark
+/// beyond the log — fsck's unrecoverable case).
 ///
 /// The caller reads between simulator events, when the whole log is in the
 /// backend and durable: node WALs sync every record under the default
@@ -233,24 +217,35 @@ struct NodeLineage {
 bool read_node_lineage(const storage::StorageBackend& backend,
                        NodeLineage* out);
 
-/// `topic`'s share of a node lineage.
+/// One topic's share of a node lineage: views into it, valid while it
+/// lives.
+struct TopicLineage {
+  /// The snapshot's bytes for the topic; empty when the topic predates
+  /// every snapshot.
+  std::span<const std::uint8_t> image;
+  /// Source WAL records folded into `image` (0 without a snapshot).
+  std::uint64_t watermark = 0;
+  /// The topic's records at indices >= watermark, in log order. For a
+  /// topic that moved onto the source since that snapshot this includes its
+  /// kAdopt record, which on replay replaces the (stale or missing) image
+  /// and every record before it.
+  std::span<const storage::WalRecord> tail;
+};
+
+/// `topic`'s share of `node`.
 TopicLineage pick_topic_lineage(const NodeLineage& node,
                                 const std::string& topic);
 
-/// Extracts `topic`'s lineage from `backend`: read_node_lineage, then
-/// pick_topic_lineage.
-bool extract_topic_lineage(const storage::StorageBackend& backend,
-                           const std::string& topic, TopicLineage* out);
-
-/// The shippable image blob: a single-topic ProxySnapshot with watermark 0
-/// in the standard snapshot encoding, so the destination can hand it
-/// straight to the recovery machinery.
-std::vector<std::uint8_t> encode_topic_image(const std::string& topic,
-                                             const core::TopicSnapshot& image);
+/// The shippable image blob: a single-topic snapshot with watermark 0 in the
+/// standard snapshot encoding, holding `image` (the empty image when it is
+/// empty), so the destination can hand it straight to the recovery
+/// machinery.
+std::vector<std::uint8_t> encode_topic_image(
+    const std::string& topic, std::span<const std::uint8_t> image);
 
 /// The shippable tail blob: standard CRC-framed WAL records.
 std::vector<std::uint8_t> encode_wal_tail(
-    const std::vector<storage::WalRecord>& records);
+    std::span<const storage::WalRecord> records);
 
 /// Rebuilds the shipped `topic` in `dest` the way recovery rebuilds a
 /// topic: adds it under `config`, restores the image (or the newest kAdopt
@@ -261,7 +256,7 @@ std::vector<std::uint8_t> encode_wal_tail(
 /// short tail blob would otherwise replay silently truncated. On a failed
 /// check it returns false and leaves `dest` untouched (the caller re-ships
 /// or aborts).
-bool replay_shipped_topic(const std::vector<std::uint8_t>& image_bytes,
+bool replay_shipped_topic(std::vector<std::uint8_t> image_bytes,
                           const std::vector<std::uint8_t>& tail_bytes,
                           std::uint64_t expected_tail, const std::string& topic,
                           const core::TopicConfig& config, core::Proxy& dest);

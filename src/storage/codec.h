@@ -119,6 +119,8 @@ class ByteReader {
   /// All bytes consumed and no read ever overran?
   bool exhausted() const { return !failed_ && offset_ == size_; }
   std::size_t remaining() const { return size_ - offset_; }
+  /// Bytes consumed so far.
+  std::size_t offset() const { return offset_; }
 
  private:
   bool take(std::size_t count, const std::uint8_t** out);

@@ -1,6 +1,7 @@
 #include "storage/fsck.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -29,7 +30,8 @@ FsckReport waif_fsck(const StorageBackend& backend) {
     }
     std::vector<std::uint8_t> bytes;
     ProxySnapshot snapshot;
-    if (!backend.read(name, &bytes) || !decode_snapshot(bytes, &snapshot)) {
+    if (!backend.read(name, &bytes) ||
+        !decode_snapshot(std::move(bytes), &snapshot)) {
       ++report.damaged_snapshots;
       continue;
     }

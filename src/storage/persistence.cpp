@@ -174,7 +174,7 @@ bool ProxyPersistence::adopt(const std::string& topic) {
   wal.type = WalRecordType::kAdopt;
   wal.topic = topic;
   wal.at = sim_.now();
-  wal.adopted = std::make_shared<const core::TopicSnapshot>(state->snapshot());
+  wal.adopted = topic_image(*state);
   append(wal);
   const bool durable = writer_.sync();
   if (durable) {
@@ -319,7 +319,7 @@ class InertChannel final : public core::DeviceChannel {
 }  // namespace
 
 void replay_wal_record(core::TopicState& topic, const WalRecord& record) {
-  // A kAdopt image replaces the whole topic, and restore() needs a fresh
+  // A kAdopt image replaces the whole topic, and a restore needs a fresh
   // one: the caller rebuilds the topic from it instead.
   WAIF_CHECK(record.type != WalRecordType::kAdopt);
   switch (record.type) {
@@ -390,8 +390,11 @@ RecoveryResult ProxyPersistence::recover(
     return it != topics.end() ? *it->second : rebuild(name);
   };
 
-  // Start from the snapshot image (or empty), then fold in the tail.
-  for (const auto& [name, image] : base.topics) rebuild(name).restore(image);
+  // Start from the snapshot image (or empty), then fold in the tail. Every
+  // image was validated when its blob or record decoded.
+  for (const TopicImageRange& image : base.topics) {
+    WAIF_CHECK(restore_topic_image(base.image(image), rebuild(image.name)));
+  }
   for (const auto& [name, config] : configs) topic(name);
 
   // Replay straight from the scan: the log is never held as records.
@@ -406,7 +409,7 @@ RecoveryResult ProxyPersistence::recover(
     if (record.type == WalRecordType::kAdopt) {
       // The topic arrived whole: its image replaces whatever an older
       // snapshot or earlier records held for it.
-      rebuild(record.topic).restore(*record.adopted);
+      WAIF_CHECK(restore_topic_image(record.adopted, rebuild(record.topic)));
     } else {
       replay_wal_record(topic(record.topic), record);
     }
@@ -426,18 +429,23 @@ RecoveryResult ProxyPersistence::recover(
   result.state.taken_at = base.taken_at;
   result.state.has_channel = base.has_channel;
   result.state.channel = base.channel;
+  ByteWriter images;
+  TopicImageEncoder encoder(images);
   for (const auto& [name, state] : topics) {
-    result.state.topics.emplace_back(name, state->snapshot());
+    const std::size_t offset = images.size();
+    state->write_image(encoder);
+    result.state.topics.push_back({name, offset, images.size() - offset});
   }
+  result.state.bytes = images.take();
   return result;
 }
 
 void ProxyPersistence::restore_into(core::Proxy& proxy,
                                     const RecoveryResult& recovery) {
-  for (const auto& [name, snapshot] : recovery.state.topics) {
-    core::TopicState* topic = proxy.topic(name);
+  for (const TopicImageRange& image : recovery.state.topics) {
+    core::TopicState* topic = proxy.topic(image.name);
     WAIF_CHECK(topic != nullptr);
-    topic->restore(snapshot);
+    WAIF_CHECK(restore_topic_image(recovery.state.image(image), *topic));
   }
 }
 

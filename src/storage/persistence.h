@@ -20,11 +20,11 @@
 // snapshot can never cover records that are not themselves durable.
 //
 // recover() is the other half: load the newest valid snapshot, restore each
-// topic into a scratch TopicState and replay the WAL tail through
+// topic's image into a scratch TopicState and replay the WAL tail through
 // TopicState's own replay entry points (replay_wal_record; the JournalStage
 // table in core/journal.h), repair a damaged WAL tail by truncating it, and
-// hand back a RecoveryResult that restore_into() applies to a freshly built
-// Proxy.
+// hand back the rebuilt topics' images, as bytes, in a RecoveryResult that
+// restore_into() applies to a freshly built Proxy.
 #pragma once
 
 #include <cstdint>
@@ -85,14 +85,15 @@ struct PersistenceStats {
 /// Applies one WAL record to `topic` through its replay entry points — the
 /// one dispatch recovery and migration share. kAck changes nothing; a
 /// kAdopt record is not accepted (its image replaces the topic: the caller
-/// rebuilds it with TopicState::restore).
+/// rebuilds it with restore_topic_image).
 void replay_wal_record(core::TopicState& topic, const WalRecord& record);
 
 /// What recover() found, ready to be applied to a fresh proxy.
 struct RecoveryResult {
-  /// The rebuilt image (topics sorted by name). `state.watermark` is the
-  /// total valid WAL record count — seed a continuing ProxyPersistence from
-  /// it via resume_from().
+  /// The rebuilt image: each topic's image freshly encoded into
+  /// `state.bytes` (topics sorted by name). `state.watermark` is the total
+  /// valid WAL record count — seed a continuing ProxyPersistence from it via
+  /// resume_from().
   ProxySnapshot state;
   std::uint64_t wal_records = 0;       // valid records in the log
   /// Records the snapshot covers (0 without one): where replay started.

@@ -1,12 +1,13 @@
 #include "storage/snapshot.h"
 
 #include <algorithm>
-#include <bit>
+#include <charconv>
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <utility>
 
+#include "common/check.h"
+#include "core/topic_state.h"
 #include "storage/codec.h"
 #include "storage/wal.h"
 
@@ -17,45 +18,6 @@ namespace {
 constexpr char kMagic[8] = {'W', 'A', 'I', 'F', 'S', 'N', 'P', '1'};
 /// The magic plus the [u32 length][u32 crc32] frame header.
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
-
-/// A moving average's samples (any container of doubles, oldest first) and
-/// running sum, in one capacity step.
-template <typename Samples>
-void encode_average(ByteWriter& writer, const Samples& samples, double sum) {
-  std::uint8_t* out = writer.extend(4 + 8 * samples.size() + 8);
-  ByteWriter::store_le32(out, static_cast<std::uint32_t>(samples.size()));
-  out += 4;
-  for (double sample : samples) {
-    ByteWriter::store_le64(out, std::bit_cast<std::uint64_t>(sample));
-    out += 8;
-  }
-  ByteWriter::store_le64(out, std::bit_cast<std::uint64_t>(sum));
-}
-
-bool decode_average(ByteReader& reader, AverageSnapshot* average) {
-  const std::uint32_t count = reader.u32();
-  if (reader.failed() || count > reader.remaining() / 8) return false;
-  average->samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    average->samples.push_back(reader.f64());
-  }
-  average->sum = reader.f64();
-  return !reader.failed();
-}
-
-template <typename Samples>
-void encode_interval(ByteWriter& writer, const Samples& samples, double sum,
-                     const std::optional<double>& last) {
-  encode_average(writer, samples, sum);
-  writer.u8(last.has_value() ? 1 : 0);
-  if (last.has_value()) writer.f64(*last);
-}
-
-bool decode_interval(ByteReader& reader, IntervalSnapshot* interval) {
-  if (!decode_average(reader, &interval->diffs)) return false;
-  if (reader.u8() != 0) interval->last = reader.f64();
-  return !reader.failed();
-}
 
 /// A u32 count, then the ids, in one capacity step.
 void encode_ids(ByteWriter& writer, const std::vector<std::uint64_t>& ids) {
@@ -76,57 +38,14 @@ bool decode_ids(ByteReader& reader, std::vector<std::uint64_t>* ids) {
   return !reader.failed();
 }
 
-void encode_events(ByteWriter& writer,
-                   const std::vector<pubsub::Notification>& events) {
-  writer.u32(static_cast<std::uint32_t>(events.size()));
-  for (const pubsub::Notification& event : events) {
-    encode_notification(writer, event);
-  }
-}
-
-bool decode_events(ByteReader& reader,
-                   std::vector<pubsub::Notification>* events) {
-  const std::uint32_t count = reader.u32();
-  // The smallest encoded notification is 48 bytes (six fixed words plus two
-  // empty strings).
-  if (reader.failed() || count > reader.remaining() / 48) return false;
-  events->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    events->push_back(decode_notification(reader));
-  }
-  return !reader.failed();
-}
-
 }  // namespace
 
-void encode_topic(ByteWriter& writer, const core::TopicSnapshot& topic) {
-  encode_events(writer, topic.outgoing);
-  encode_events(writer, topic.prefetch);
-  encode_events(writer, topic.holding);
-  writer.u32(static_cast<std::uint32_t>(topic.delayed.size()));
-  for (const core::DelayedSnapshot& delayed : topic.delayed) {
-    encode_notification(writer, delayed.event);
-    writer.i64(delayed.release_at);
+std::span<const std::uint8_t> ProxySnapshot::image(
+    std::string_view name) const {
+  for (const TopicImageRange& topic : topics) {
+    if (topic.name == name) return image(topic);
   }
-  encode_events(writer, topic.history);
-  encode_ids(writer, topic.forwarded);
-  writer.u32(static_cast<std::uint32_t>(topic.expiration_armed.size()));
-  for (const core::ArmedExpiration& armed : topic.expiration_armed) {
-    writer.u64(armed.id);
-    writer.i64(armed.expires_at);
-  }
-  encode_ids(writer, topic.seen_read_ids);
-  encode_ids(writer, topic.seen_sync_ids);
-  encode_average(writer, topic.old_reads.samples, topic.old_reads.sum);
-  encode_interval(writer, topic.read_times.diffs.samples,
-                  topic.read_times.diffs.sum, topic.read_times.last);
-  encode_average(writer, topic.exp_times.samples, topic.exp_times.sum);
-  encode_interval(writer, topic.arrival_times.diffs.samples,
-                  topic.arrival_times.diffs.sum, topic.arrival_times.last);
-  writer.u64(topic.queue_size_view);
-  writer.f64(topic.rate_credit);
-  writer.i64(topic.current_day);
-  writer.u64(topic.forwarded_today);
+  return {};
 }
 
 void TopicImageEncoder::event(const pubsub::Notification& event) {
@@ -144,18 +63,6 @@ void TopicImageEncoder::ids(core::ImageSection,
   encode_ids(out_, sorted);
 }
 
-void TopicImageEncoder::averages(const MovingAverage& old_reads,
-                                 const IntervalAverage& read_times,
-                                 const MovingAverage& exp_times,
-                                 const IntervalAverage& arrival_times) {
-  encode_average(out_, old_reads.samples(), old_reads.sum());
-  encode_interval(out_, read_times.diffs().samples(), read_times.diffs().sum(),
-                  read_times.last());
-  encode_average(out_, exp_times.samples(), exp_times.sum());
-  encode_interval(out_, arrival_times.diffs().samples(),
-                  arrival_times.diffs().sum(), arrival_times.last());
-}
-
 void TopicImageEncoder::scalars(std::uint64_t queue_size_view,
                                 double rate_credit, std::int64_t current_day,
                                 std::uint64_t forwarded_today) {
@@ -165,41 +72,29 @@ void TopicImageEncoder::scalars(std::uint64_t queue_size_view,
   out_.u64(forwarded_today);
 }
 
-bool decode_topic(ByteReader& reader, core::TopicSnapshot* topic) {
-  if (!decode_events(reader, &topic->outgoing)) return false;
-  if (!decode_events(reader, &topic->prefetch)) return false;
-  if (!decode_events(reader, &topic->holding)) return false;
-  const std::uint32_t delayed_count = reader.u32();
-  if (reader.failed() || delayed_count > reader.remaining() / 56) return false;
-  topic->delayed.reserve(delayed_count);
-  for (std::uint32_t i = 0; i < delayed_count; ++i) {
-    core::DelayedSnapshot delayed;
-    delayed.event = decode_notification(reader);
-    delayed.release_at = reader.i64();
-    topic->delayed.push_back(std::move(delayed));
-  }
-  if (!decode_events(reader, &topic->history)) return false;
-  if (!decode_ids(reader, &topic->forwarded)) return false;
-  const std::uint32_t armed_count = reader.u32();
-  if (reader.failed() || armed_count > reader.remaining() / 16) return false;
-  topic->expiration_armed.reserve(armed_count);
-  for (std::uint32_t i = 0; i < armed_count; ++i) {
-    core::ArmedExpiration armed;
-    armed.id = reader.u64();
-    armed.expires_at = reader.i64();
-    topic->expiration_armed.push_back(armed);
-  }
-  if (!decode_ids(reader, &topic->seen_read_ids)) return false;
-  if (!decode_ids(reader, &topic->seen_sync_ids)) return false;
-  if (!decode_average(reader, &topic->old_reads)) return false;
-  if (!decode_interval(reader, &topic->read_times)) return false;
-  if (!decode_average(reader, &topic->exp_times)) return false;
-  if (!decode_interval(reader, &topic->arrival_times)) return false;
-  topic->queue_size_view = reader.u64();
-  topic->rate_credit = reader.f64();
-  topic->current_day = reader.i64();
-  topic->forwarded_today = reader.u64();
-  return !reader.failed();
+void encode_empty_topic_image(ByteWriter& out) {
+  // Every count, sum, presence byte and scalar of the empty image is zero,
+  // so it decodes from zeros.
+  constexpr std::uint8_t kZeros[256] = {};
+  ByteReader zeros(kZeros, sizeof(kZeros));
+  TopicImageEncoder image(out);
+  WAIF_CHECK(read_topic_image(zeros, image));
+}
+
+std::vector<std::uint8_t> topic_image(const core::TopicState& topic) {
+  ByteWriter out;
+  TopicImageEncoder image(out);
+  topic.write_image(image);
+  return out.take();
+}
+
+bool restore_topic_image(std::span<const std::uint8_t> image,
+                         core::TopicState& topic) {
+  TopicImageShape shape;
+  if (!read_topic_image(image, shape)) return false;
+  core::TopicState::Restorer restorer(topic);
+  WAIF_CHECK(read_topic_image(image, restorer));
+  return true;
 }
 
 std::string snapshot_blob_name(std::uint64_t seq) {
@@ -210,12 +105,17 @@ std::string snapshot_blob_name(std::uint64_t seq) {
 }
 
 bool parse_snapshot_name(const std::string& name, std::uint64_t* seq) {
-  constexpr const char* kPrefix = "snap-";
-  if (name.size() <= 5 || name.compare(0, 5, kPrefix) != 0) return false;
+  // Whatever else sits in the directory — extra zeros, a number past 2^64 —
+  // is not a checkpoint: it would otherwise count as some sequence, and one
+  // that looks newest would shadow every real checkpoint and escape the
+  // prune, which removes blobs by their canonical names.
+  constexpr std::size_t kPrefix = 5;  // "snap-"
   std::uint64_t value = 0;
-  for (std::size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(name[i] - '0');
+  if (name.size() <= kPrefix ||
+      std::from_chars(name.data() + kPrefix, name.data() + name.size(), value)
+              .ec != std::errc() ||
+      snapshot_blob_name(value) != name) {
+    return false;
   }
   *seq = value;
   return true;
@@ -245,21 +145,7 @@ void finish_snapshot(ByteWriter& out) {
   out.patch_u32(sizeof(kMagic) + 4, crc32(body, length));
 }
 
-std::vector<std::uint8_t> encode_snapshot(const ProxySnapshot& snapshot) {
-  ByteWriter blob;
-  begin_snapshot(blob, snapshot.watermark, snapshot.taken_at,
-                 snapshot.has_channel ? &snapshot.channel : nullptr,
-                 snapshot.topics.size());
-  for (const auto& [name, topic] : snapshot.topics) {
-    blob.str(name);
-    encode_topic(blob, topic);
-  }
-  finish_snapshot(blob);
-  return blob.take();
-}
-
-bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
-                     ProxySnapshot* out) {
+bool decode_snapshot(std::vector<std::uint8_t> bytes, ProxySnapshot* out) {
   if (bytes.size() < kHeaderBytes) return false;
   for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
     if (bytes[i] != static_cast<std::uint8_t>(kMagic[i])) return false;
@@ -282,12 +168,16 @@ bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
   const std::uint32_t topic_count = reader.u32();
   if (reader.failed()) return false;
   for (std::uint32_t i = 0; i < topic_count; ++i) {
-    std::string name = reader.str();
-    core::TopicSnapshot topic;
-    if (!decode_topic(reader, &topic)) return false;
-    out->topics.emplace_back(std::move(name), std::move(topic));
+    TopicImageRange topic{.name = reader.str()};
+    topic.offset = kHeaderBytes + reader.offset();
+    TopicImageShape shape;
+    if (reader.failed() || !read_topic_image(reader, shape)) return false;
+    topic.size = kHeaderBytes + reader.offset() - topic.offset;
+    out->topics.push_back(std::move(topic));
   }
-  return reader.exhausted();
+  if (!reader.exhausted()) return false;
+  out->bytes = std::move(bytes);
+  return true;
 }
 
 bool load_latest_snapshot(const StorageBackend& backend, ProxySnapshot* out,
@@ -307,7 +197,7 @@ bool load_latest_snapshot(const StorageBackend& backend, ProxySnapshot* out,
     std::vector<std::uint8_t> bytes;
     if (!backend.read(name, &bytes)) continue;
     ProxySnapshot snapshot;
-    if (!decode_snapshot(bytes, &snapshot)) {
+    if (!decode_snapshot(std::move(bytes), &snapshot)) {
       ++*damaged;
       continue;
     }

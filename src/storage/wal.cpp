@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -95,8 +94,8 @@ void encode_payload_into(ByteWriter& writer, const WalRecord& record) {
       writer.u64(record.id);
       break;
     case WalRecordType::kAdopt:
-      WAIF_CHECK(record.adopted != nullptr);
-      encode_topic(writer, *record.adopted);
+      WAIF_CHECK(!record.adopted.empty());
+      writer.raw(record.adopted.data(), record.adopted.size());
       break;
   }
 }
@@ -162,9 +161,12 @@ bool decode_payload(const std::uint8_t* payload, std::size_t length,
       record->id = reader.u64();
       break;
     case WalRecordType::kAdopt: {
-      auto adopted = std::make_shared<core::TopicSnapshot>();
-      if (!decode_topic(reader, adopted.get())) return false;
-      record->adopted = std::move(adopted);
+      // The rest of the payload is the image: an adopt record that scans
+      // is one whose image restores.
+      const std::size_t image = reader.offset();
+      TopicImageShape shape;
+      if (!read_topic_image(reader, shape)) return false;
+      record->adopted.assign(payload + image, payload + reader.offset());
       break;
     }
     default:

@@ -15,14 +15,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/time.h"
 #include "core/journal.h"
 #include "core/read_protocol.h"
-#include "core/snapshot.h"
 #include "pubsub/notification.h"
 #include "storage/backend.h"
 #include "storage/codec.h"
@@ -81,10 +79,9 @@ struct WalRecord {
   // kExpire / kAck
   std::uint64_t id = 0;
 
-  // kAdopt: the topic's whole image, in the snapshot's per-topic encoding.
-  // Shared and immutable, so every other record type carries one null
-  // pointer and copies of a decoded record share the image.
-  std::shared_ptr<const core::TopicSnapshot> adopted;
+  // kAdopt: the topic's whole image, in the snapshot's per-topic encoding
+  // (storage/snapshot.h). A decoded record's image has been validated.
+  std::vector<std::uint8_t> adopted;
 };
 
 /// Shared notification codec (the snapshot blob uses the same encoding).

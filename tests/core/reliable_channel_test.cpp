@@ -147,7 +147,9 @@ TEST_F(ReliableChannelTest, HalfOpenDropIsRecoveredByTimeoutRetry) {
   EXPECT_EQ(stats.link_drops, 1u);
   EXPECT_EQ(stats.delivered, 1u);
   EXPECT_EQ(stats.acked, 1u);
-  EXPECT_EQ(link.fault_model()->stats().half_open_drops, 1u);
+  const net::FaultModel* faults = link.fault_model();
+  ASSERT_NE(faults, nullptr);
+  EXPECT_EQ(faults->stats().half_open_drops, 1u);
 }
 
 TEST_F(ReliableChannelTest, BackoffDoublesAndIsCappedAtMaxBackoff) {

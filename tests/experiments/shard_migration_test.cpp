@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,12 @@ pubsub::NotificationPtr make_event(std::uint64_t id, const std::string& topic,
   event->rank = 0.5;
   event->published_at = at;
   return event;
+}
+
+/// `topic`'s bytes, encoded from its live state.
+std::vector<std::uint8_t> live_image(const core::Proxy& proxy,
+                                     const std::string& topic) {
+  return storage::topic_image(*proxy.topic(topic));
 }
 
 MigrationRecord make_record(std::uint64_t id, MigrationStage stage,
@@ -176,18 +184,6 @@ TEST(ShardMigrationTest, DeriveOwnersAppliesOnlyFlipsInJournalOrder) {
   EXPECT_EQ(owners.at("t1"), 0u);  // the later flip wins
 }
 
-TEST(ShardMigrationTest, LatestRecordsKeepTheNewestStagePerMigration) {
-  std::vector<MigrationRecord> records;
-  records.push_back(make_record(1, MigrationStage::kPlanned, "t0", 0, 1));
-  records.push_back(make_record(2, MigrationStage::kPlanned, "t1", 1, 2));
-  records.push_back(make_record(1, MigrationStage::kFlipped, "t0", 0, 1));
-
-  const auto latest = latest_migration_records(records);
-  ASSERT_EQ(latest.size(), 2u);
-  EXPECT_EQ(latest.at(1).stage, MigrationStage::kFlipped);
-  EXPECT_EQ(latest.at(2).stage, MigrationStage::kPlanned);
-}
-
 TEST(ShardMigrationTest, BackoffDoublesFromBaseAndCaps) {
   static_assert(kMigrationBackoffBase == 100 * kMillisecond);
   static_assert(kMigrationBackoffCap == 5 * kSecond);
@@ -202,7 +198,7 @@ TEST(ShardMigrationTest, BackoffDoublesFromBaseAndCaps) {
 }
 
 /// Drives a real proxy + persistence, then round-trips one topic through
-/// extract -> encode -> ship -> replay and demands byte-equal state.
+/// lineage -> encode -> ship -> replay and demands byte-equal state.
 TEST(ShardMigrationTest, ExtractEncodeReplayRoundTripsTopicState) {
   sim::Simulator sim;
   NullChannel channel;
@@ -235,9 +231,10 @@ TEST(ShardMigrationTest, ExtractEncodeReplayRoundTripsTopicState) {
   }
   sim.run();
 
-  TopicLineage lineage;
-  ASSERT_TRUE(extract_topic_lineage(backend, "tA", &lineage));
-  EXPECT_TRUE(lineage.has_image);
+  NodeLineage node;
+  ASSERT_TRUE(read_node_lineage(backend, &node));
+  const TopicLineage lineage = pick_topic_lineage(node, "tA");
+  EXPECT_FALSE(lineage.image.empty());
   EXPECT_GT(lineage.watermark, 0u);
   EXPECT_FALSE(lineage.tail.empty());
   for (const storage::WalRecord& record : lineage.tail) {
@@ -254,10 +251,8 @@ TEST(ShardMigrationTest, ExtractEncodeReplayRoundTripsTopicState) {
                                    dest));
   EXPECT_EQ(dest.topic_names(), std::vector<std::string>{"tA"});
 
-  // Byte-level equality against the live topic, via the canonical encoding.
-  const core::TopicSnapshot live = proxy.topic("tA")->snapshot();
-  EXPECT_EQ(encode_topic_image("tA", dest.topic("tA")->snapshot()),
-            encode_topic_image("tA", live));
+  // Byte-level equality against the live topic.
+  EXPECT_EQ(live_image(dest, "tA"), live_image(proxy, "tA"));
 }
 
 TEST(ShardMigrationTest, ReplayRejectsShortOrDamagedShipments) {
@@ -277,8 +272,9 @@ TEST(ShardMigrationTest, ReplayRejectsShortOrDamagedShipments) {
   }
   sim.run();
 
-  TopicLineage lineage;
-  ASSERT_TRUE(extract_topic_lineage(backend, "tA", &lineage));
+  NodeLineage node;
+  ASSERT_TRUE(read_node_lineage(backend, &node));
+  const TopicLineage lineage = pick_topic_lineage(node, "tA");
   const std::vector<std::uint8_t> image_bytes =
       encode_topic_image("tA", lineage.image);
   std::vector<std::uint8_t> tail_bytes = encode_wal_tail(lineage.tail);
@@ -300,7 +296,8 @@ TEST(ShardMigrationTest, ReplayRejectsShortOrDamagedShipments) {
                                     tail_bytes, lineage.tail.size(), "tA",
                                     online_config(), dest));
   // A tail holding another topic's record: refuse.
-  std::vector<storage::WalRecord> mixed = lineage.tail;
+  std::vector<storage::WalRecord> mixed(lineage.tail.begin(),
+                                        lineage.tail.end());
   mixed.back().topic = "tB";
   EXPECT_FALSE(replay_shipped_topic(image_bytes, encode_wal_tail(mixed),
                                     mixed.size(), "tA", online_config(), dest));
@@ -332,9 +329,10 @@ TEST(ShardMigrationTest, ExtractWithoutSnapshotShipsTheWholeLog) {
   }
   sim.run();
 
-  TopicLineage lineage;
-  ASSERT_TRUE(extract_topic_lineage(backend, "tA", &lineage));
-  EXPECT_FALSE(lineage.has_image);
+  NodeLineage node;
+  ASSERT_TRUE(read_node_lineage(backend, &node));
+  const TopicLineage lineage = pick_topic_lineage(node, "tA");
+  EXPECT_TRUE(lineage.image.empty());
   EXPECT_EQ(lineage.watermark, 0u);
   EXPECT_FALSE(lineage.tail.empty());
 
@@ -344,9 +342,7 @@ TEST(ShardMigrationTest, ExtractWithoutSnapshotShipsTheWholeLog) {
                                    encode_wal_tail(lineage.tail),
                                    lineage.tail.size(), "tA", online_config(),
                                    dest));
-  const core::TopicSnapshot live = proxy.topic("tA")->snapshot();
-  EXPECT_EQ(encode_topic_image("tA", dest.topic("tA")->snapshot()),
-            encode_topic_image("tA", live));
+  EXPECT_EQ(live_image(dest, "tA"), live_image(proxy, "tA"));
 }
 
 TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
@@ -385,8 +381,9 @@ TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
   ASSERT_TRUE(b_persistence.snapshot_now());
 
   // A -> B: ship, replay, fold.
-  TopicLineage from_a;
-  ASSERT_TRUE(extract_topic_lineage(a_backend, "tA", &from_a));
+  NodeLineage a_node;
+  ASSERT_TRUE(read_node_lineage(a_backend, &a_node));
+  const TopicLineage from_a = pick_topic_lineage(a_node, "tA");
   ASSERT_TRUE(replay_shipped_topic(encode_topic_image("tA", from_a.image),
                                    encode_wal_tail(from_a.tail),
                                    from_a.tail.size(), "tA", online_config(),
@@ -402,9 +399,10 @@ TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
   b_sim.run();
 
   // B -> onward.
-  TopicLineage from_b;
-  ASSERT_TRUE(extract_topic_lineage(b_backend, "tA", &from_b));
-  EXPECT_FALSE(from_b.has_image);
+  NodeLineage b_node;
+  ASSERT_TRUE(read_node_lineage(b_backend, &b_node));
+  const TopicLineage from_b = pick_topic_lineage(b_node, "tA");
+  EXPECT_TRUE(from_b.image.empty());
   EXPECT_GT(from_b.watermark, 0u);
   ASSERT_GT(from_b.tail.size(), 1u);
   EXPECT_EQ(from_b.tail.front().type, storage::WalRecordType::kAdopt);
@@ -414,8 +412,7 @@ TEST(ShardMigrationTest, ReExtractAfterAnAdoptShipsTheAdoptFirst) {
                                    encode_wal_tail(from_b.tail),
                                    from_b.tail.size(), "tA", online_config(),
                                    c));
-  EXPECT_EQ(encode_topic_image("tA", c.topic("tA")->snapshot()),
-            encode_topic_image("tA", b.topic("tA")->snapshot()));
+  EXPECT_EQ(live_image(c, "tA"), live_image(b, "tA"));
 }
 
 TEST(ShardMigrationTest, NodeLineageBucketsTheLogPastTheNewestSnapshot) {
@@ -453,26 +450,18 @@ TEST(ShardMigrationTest, NodeLineageBucketsTheLogPastTheNewestSnapshot) {
 
   NodeLineage node;
   ASSERT_TRUE(read_node_lineage(backend, &node));
-  EXPECT_EQ(node.watermark, snapshot.watermark);
+  EXPECT_EQ(node.snapshot.watermark, snapshot.watermark);
   for (const std::string topic : {"tA", "tB", "tC", "absent"}) {
-    core::TopicSnapshot image;
-    bool has_image = false;
-    for (const auto& [name, state] : snapshot.topics) {
-      if (name != topic) continue;
-      image = state;
-      has_image = true;
-    }
+    const std::span<const std::uint8_t> image = snapshot.image(topic);
     std::vector<storage::WalRecord> tail;
     for (std::size_t i = snapshot.watermark; i < wal.records.size(); ++i) {
       if (wal.records[i].topic == topic) tail.push_back(wal.records[i]);
     }
 
     const TopicLineage picked = pick_topic_lineage(node, topic);
-    EXPECT_EQ(picked.has_image, has_image) << topic;
+    EXPECT_EQ(picked.image.empty(), image.empty()) << topic;
     EXPECT_EQ(picked.watermark, snapshot.watermark) << topic;
-    EXPECT_EQ(encode_topic_image(topic, picked.image),
-              encode_topic_image(topic, image))
-        << topic;
+    EXPECT_TRUE(std::ranges::equal(picked.image, image)) << topic;
     EXPECT_EQ(encode_wal_tail(picked.tail), encode_wal_tail(tail)) << topic;
   }
 }

@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "core/channel.h"
@@ -35,6 +37,7 @@
 #include "storage/backend.h"
 #include "storage/fault.h"
 #include "storage/persistence.h"
+#include "storage/snapshot.h"
 #include "storage/wal.h"
 
 namespace waif::experiments {
@@ -281,14 +284,14 @@ struct Node {
 
   /// Moves `topic` in with the live state `image`, as a migration's replay
   /// does, then folds it into this node's log.
-  bool adopt(const std::string& topic, const core::TopicSnapshot& image) {
+  bool adopt(const std::string& topic, const std::vector<std::uint8_t>& image) {
     proxy.add_topic(topic, online_config());
-    proxy.topic(topic)->restore(image);
+    EXPECT_TRUE(storage::restore_topic_image(image, *proxy.topic(topic)));
     return persistence.adopt(topic);
   }
 
   std::vector<std::uint8_t> live_image(const std::string& topic) const {
-    return encode_topic_image(topic, proxy.topic(topic)->snapshot());
+    return storage::topic_image(*proxy.topic(topic));
   }
 
   sim::Simulator sim;
@@ -305,20 +308,19 @@ std::map<std::string, core::TopicConfig> configs_for(
   return configs;
 }
 
-const core::TopicSnapshot* recovered(const storage::RecoveryResult& recovery,
-                                     const std::string& topic) {
-  for (const auto& [name, state] : recovery.state.topics) {
-    if (name == topic) return &state;
-  }
-  return nullptr;
+/// `topic`'s recovered image; empty when recovery holds none.
+std::vector<std::uint8_t> recovered(const storage::RecoveryResult& recovery,
+                                    const std::string& topic) {
+  const std::span<const std::uint8_t> image = recovery.state.image(topic);
+  return {image.begin(), image.end()};
 }
 
 /// tA grown on a node of its own, ready to move.
-core::TopicSnapshot grown_elsewhere() {
+std::vector<std::uint8_t> grown_elsewhere() {
   Node source("source");
   source.proxy.add_topic("tA", online_config());
   source.publish("tA", 1, 8, 10 * kSecond);
-  return source.proxy.topic("tA")->snapshot();
+  return source.live_image("tA");
 }
 
 TEST(AdoptRecovery, AdoptedTopicSurvivesACrashByteForByte) {
@@ -333,12 +335,8 @@ TEST(AdoptRecovery, AdoptedTopicSurvivesACrashByteForByte) {
       storage::ProxyPersistence::recover(dest.backend,
                                          configs_for({"tA", "tB"}));
   EXPECT_FALSE(recovery.from_snapshot);  // the log alone carries tA
-  const core::TopicSnapshot* tA = recovered(recovery, "tA");
-  ASSERT_NE(tA, nullptr);
-  EXPECT_EQ(encode_topic_image("tA", *tA), dest.live_image("tA"));
-  const core::TopicSnapshot* tB = recovered(recovery, "tB");
-  ASSERT_NE(tB, nullptr);
-  EXPECT_EQ(encode_topic_image("tB", *tB), dest.live_image("tB"));
+  EXPECT_EQ(recovered(recovery, "tA"), dest.live_image("tA"));
+  EXPECT_EQ(recovered(recovery, "tB"), dest.live_image("tB"));
 }
 
 TEST(AdoptRecovery, AdoptWinsOverAnOlderImageInTheSnapshot) {
@@ -355,12 +353,13 @@ TEST(AdoptRecovery, AdoptWinsOverAnOlderImageInTheSnapshot) {
 
   Node away("away");
   away.proxy.add_topic("tA", online_config());
-  away.proxy.topic("tA")->restore(home.proxy.topic("tA")->snapshot());
+  ASSERT_TRUE(storage::restore_topic_image(home.live_image("tA"),
+                                           *away.proxy.topic("tA")));
   home.proxy.remove_topic("tA");
   away.publish("tA", 9, 5, 30 * kSecond);
   home.publish("tB", 100, 3, 30 * kSecond);
 
-  ASSERT_TRUE(home.adopt("tA", away.proxy.topic("tA")->snapshot()));
+  ASSERT_TRUE(home.adopt("tA", away.live_image("tA")));
   ASSERT_NE(home.live_image("tA"), stale);
 
   home.backend.crash();
@@ -368,9 +367,7 @@ TEST(AdoptRecovery, AdoptWinsOverAnOlderImageInTheSnapshot) {
       storage::ProxyPersistence::recover(home.backend,
                                          configs_for({"tA", "tB"}));
   EXPECT_TRUE(recovery.from_snapshot);
-  const core::TopicSnapshot* tA = recovered(recovery, "tA");
-  ASSERT_NE(tA, nullptr);
-  EXPECT_EQ(encode_topic_image("tA", *tA), home.live_image("tA"));
+  EXPECT_EQ(recovered(recovery, "tA"), home.live_image("tA"));
 }
 
 TEST(AdoptRecovery, AdoptWhoseSyncFailedIsLostInTheCrash) {
@@ -390,7 +387,7 @@ TEST(AdoptRecovery, AdoptWhoseSyncFailedIsLostInTheCrash) {
   const storage::RecoveryResult recovery =
       storage::ProxyPersistence::recover(dest.backend, configs_for({"tB"}));
   EXPECT_EQ(recovery.wal_records, durable_records);
-  EXPECT_EQ(recovered(recovery, "tA"), nullptr);
+  EXPECT_TRUE(recovered(recovery, "tA").empty());
 }
 
 TEST(AdoptRecovery, TornAdoptFrameIsTruncatedAway) {
@@ -409,7 +406,7 @@ TEST(AdoptRecovery, TornAdoptFrameIsTruncatedAway) {
   EXPECT_TRUE(recovery.repaired);
   EXPECT_EQ(recovery.wal_records, records);
   EXPECT_EQ(dest.backend.size(storage::kWalBlobName), before);
-  EXPECT_EQ(recovered(recovery, "tA"), nullptr);
+  EXPECT_TRUE(recovered(recovery, "tA").empty());
 }
 
 

@@ -1,13 +1,14 @@
 // Recovery after every record: a scripted proxy drives two topics through
 // every journaled transition, and after each simulator event a copy of its
 // backend is recovered and every topic's rebuilt image is byte-compared with
-// the live TopicState::snapshot(). The WAL is scanned first to show which
+// the live topic's image. The WAL is scanned first to show which
 // record kinds the comparisons covered: all nine JournalStages, plain and
 // replicated forwards (an on-line topic across a day boundary), fresh and
 // duplicate READ and sync ids, both kinds of expiry, a requeue of a live and
 // of an expired event, and a shed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,12 +46,6 @@ class ToggledChannel final : public core::DeviceChannel {
 
   bool up = true;
 };
-
-std::vector<std::uint8_t> image_bytes(const core::TopicSnapshot& image) {
-  ByteWriter writer;
-  encode_topic(writer, image);
-  return writer.take();
-}
 
 /// Two topics on one journaled proxy, checkpointing every 16 records so
 /// later recoveries start from a snapshot and replay only its tail.
@@ -200,9 +195,11 @@ struct EveryRecordProxy {
     if (recovery.from_snapshot && recovery.replayed > 0) ++tail_checks;
     checked_records = recovery.wal_records;
     std::set<std::string> seen;
-    for (const auto& [name, image] : recovery.state.topics) {
+    for (const TopicImageRange& image : recovery.state.topics) {
+      const std::string& name = image.name;
       seen.insert(name);
-      if (image_bytes(image) != image_bytes(topic(name.c_str()).snapshot())) {
+      if (!std::ranges::equal(recovery.state.image(image),
+                              topic_image(topic(name.c_str())))) {
         mismatches.push_back(name + " after record " +
                              std::to_string(persistence.record_count()) +
                              " at t=" + std::to_string(sim.now()));

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/time.h"
@@ -30,10 +31,11 @@ core::TopicConfig topic_config() {
   return config;
 }
 
-std::vector<std::uint8_t> canonical_bytes(const core::TopicSnapshot& topic) {
-  ProxySnapshot wrapper;
-  wrapper.topics.emplace_back(kTopic, topic);
-  return encode_snapshot(wrapper);
+/// The recovered image of the one topic.
+std::vector<std::uint8_t> recovered(const RecoveryResult& recovery) {
+  EXPECT_EQ(recovery.state.topics.size(), 1u);
+  const std::span<const std::uint8_t> image = recovery.state.image(kTopic);
+  return {image.begin(), image.end()};
 }
 
 TEST(ReplicatedRecovery, JournalFollowsFailoverAndWarmStartsReplicas) {
@@ -90,11 +92,8 @@ TEST(ReplicatedRecovery, JournalFollowsFailoverAndWarmStartsReplicas) {
     ASSERT_TRUE(persistence.snapshot_now());
     const RecoveryResult recovery =
         ProxyPersistence::recover(backend, configs);
-    ASSERT_EQ(recovery.state.topics.size(), 1u);
-    const core::TopicSnapshot live =
-        proxy.active_proxy().topic(kTopic)->snapshot();
-    EXPECT_EQ(canonical_bytes(recovery.state.topics[0].second),
-              canonical_bytes(live));
+    EXPECT_EQ(recovered(recovery),
+              topic_image(*proxy.active_proxy().topic(kTopic)));
   }
 
   // Bring the crashed replica back: with set_recovery wired it warm-starts
@@ -109,11 +108,8 @@ TEST(ReplicatedRecovery, JournalFollowsFailoverAndWarmStartsReplicas) {
   ASSERT_TRUE(proxy.replica_alive(dead));
   EXPECT_EQ(proxy.stats().restarts, 1u);
 
-  const core::TopicSnapshot restarted =
-      proxy.standby_proxy().topic(kTopic)->snapshot();
-  const core::TopicSnapshot active =
-      proxy.active_proxy().topic(kTopic)->snapshot();
-  EXPECT_EQ(canonical_bytes(restarted), canonical_bytes(active));
+  EXPECT_EQ(topic_image(*proxy.standby_proxy().topic(kTopic)),
+            topic_image(*proxy.active_proxy().topic(kTopic)));
 
   // And the run keeps going on the rebuilt pair.
   sim.schedule_at(37 * kHour, [&proxy] { proxy.user_read(kTopic); });
@@ -170,9 +166,8 @@ TEST(ReplicatedRecovery, InPlaceRestartMovesTheJournalToTheFreshActive) {
   configs.emplace(kTopic, topic_config());
   ASSERT_TRUE(persistence.snapshot_now());
   const RecoveryResult recovery = ProxyPersistence::recover(backend, configs);
-  ASSERT_EQ(recovery.state.topics.size(), 1u);
-  EXPECT_EQ(canonical_bytes(recovery.state.topics[0].second),
-            canonical_bytes(proxy.active_proxy().topic(kTopic)->snapshot()));
+  EXPECT_EQ(recovered(recovery),
+            topic_image(*proxy.active_proxy().topic(kTopic)));
 }
 
 }  // namespace

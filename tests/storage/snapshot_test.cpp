@@ -1,13 +1,19 @@
 // Snapshot codec and round-trip fidelity: a TopicState rebuilt from its
-// snapshot is indistinguishable (it re-snapshots to the same bytes), damaged
-// blobs are rejected wholesale, and load_latest_snapshot falls back to the
-// newest valid checkpoint.
+// image is indistinguishable (it re-encodes to the same bytes), damaged
+// blobs and images are rejected wholesale — the image decoder accepts
+// exactly what the value decoder it replaced accepted — and
+// load_latest_snapshot falls back to the newest valid checkpoint, reading
+// only canonically named blobs.
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +30,7 @@
 #include "sim/simulator.h"
 #include "storage/backend.h"
 #include "storage/codec.h"
+#include "storage/fsck.h"
 #include "storage/persistence.h"
 
 namespace waif::storage {
@@ -35,9 +42,17 @@ TEST(SnapshotNames, FixedWidthAndParseable) {
   std::uint64_t seq = 0;
   ASSERT_TRUE(parse_snapshot_name("snap-000042", &seq));
   EXPECT_EQ(seq, 42u);
+  ASSERT_TRUE(parse_snapshot_name("snap-1000000", &seq));
+  EXPECT_EQ(seq, 1'000'000u);
   EXPECT_FALSE(parse_snapshot_name("snap-", &seq));
   EXPECT_FALSE(parse_snapshot_name("snap-12x", &seq));
   EXPECT_FALSE(parse_snapshot_name("wal", &seq));
+  // Only the names snapshot_blob_name writes: not unpadded, not overpadded,
+  // not past 2^64 (which would wrap to a huge "newest" sequence).
+  EXPECT_FALSE(parse_snapshot_name("snap-42", &seq));
+  EXPECT_FALSE(parse_snapshot_name("snap-0000042", &seq));
+  EXPECT_FALSE(parse_snapshot_name("snap-99999999999999999999", &seq));
+  EXPECT_EQ(seq, 1'000'000u);
 }
 
 pubsub::Notification make_event(std::uint64_t id, double rank) {
@@ -52,62 +67,113 @@ pubsub::Notification make_event(std::uint64_t id, double rank) {
   return event;
 }
 
-ProxySnapshot sample_snapshot() {
-  ProxySnapshot snapshot;
-  snapshot.watermark = 321;
-  snapshot.taken_at = 42 * kHour;
-  snapshot.has_channel = true;
-  snapshot.channel.next_seq = 17;
-  snapshot.channel.seen = {3, 1, 9};
+/// A topic image with every section non-empty, scripted section by section
+/// through the encoding sink (it need not be a state a TopicState could
+/// reach).
+std::vector<std::uint8_t> scripted_image() {
+  using core::ImageSection;
+  ByteWriter out;
+  TopicImageEncoder image(out);
+  const auto events = [&image](ImageSection section,
+                               std::vector<pubsub::Notification> list) {
+    image.begin(section, list.size());
+    for (const pubsub::Notification& event : list) image.event(event);
+  };
+  events(ImageSection::kOutgoing, {make_event(1, 4.0)});
+  events(ImageSection::kPrefetch, {make_event(2, 3.0), make_event(3, 2.5)});
+  events(ImageSection::kHolding, {make_event(4, 1.0)});
+  image.begin(ImageSection::kDelayed, 1);
+  image.delayed(make_event(5, 2.0), 7 * kHour);
+  events(ImageSection::kHistory, {make_event(1, 4.0), make_event(2, 3.0)});
+  image.ids(ImageSection::kForwarded, std::vector<std::uint64_t>{1, 2});
+  image.begin(ImageSection::kArmed, 1);
+  image.armed(4, 5000);
+  image.ids(ImageSection::kSeenReads, std::vector<std::uint64_t>{70, 71});
+  image.ids(ImageSection::kSeenSyncs, std::vector<std::uint64_t>{80});
+  image.average(ImageSection::kOldReads, std::vector<double>{4.0, 2.0}, 6.0,
+                std::nullopt);
+  image.average(ImageSection::kReadTimes, std::vector<double>{3600.0}, 3600.0,
+                7200.0);
+  image.average(ImageSection::kExpTimes, std::vector<double>{100.0}, 100.0,
+                std::nullopt);
+  image.average(ImageSection::kArrivalTimes, std::vector<double>{10.0, 20.0},
+                30.0, 500.0);
+  image.scalars(3, 0.5, 2, 7);
+  return out.take();
+}
 
-  core::TopicSnapshot topic;
-  topic.outgoing = {make_event(1, 4.0)};
-  topic.prefetch = {make_event(2, 3.0), make_event(3, 2.5)};
-  topic.holding = {make_event(4, 1.0)};
-  topic.delayed.push_back({make_event(5, 2.0), 7 * kHour});
-  topic.history = {make_event(1, 4.0), make_event(2, 3.0)};
-  topic.forwarded = {1, 2};
-  topic.expiration_armed.push_back({4, 5000});
-  topic.seen_read_ids = {70, 71};
-  topic.seen_sync_ids = {80};
-  topic.old_reads.samples = {4.0, 2.0};
-  topic.old_reads.sum = 6.0;
-  topic.read_times.diffs.samples = {3600.0};
-  topic.read_times.diffs.sum = 3600.0;
-  topic.read_times.last = 7200.0;
-  topic.exp_times.samples = {100.0};
-  topic.exp_times.sum = 100.0;
-  topic.arrival_times.diffs.samples = {10.0, 20.0};
-  topic.arrival_times.diffs.sum = 30.0;
-  topic.arrival_times.last = 500.0;
-  topic.queue_size_view = 3;
-  topic.rate_credit = 0.5;
-  topic.current_day = 2;
-  topic.forwarded_today = 7;
-  snapshot.topics.emplace_back("a", std::move(topic));
-  snapshot.topics.emplace_back("b", core::TopicSnapshot{});
-  return snapshot;
+/// A checkpoint blob at `watermark` holding topic "a" (the scripted image)
+/// and topic "b" (the empty image).
+std::vector<std::uint8_t> sample_blob(std::uint64_t watermark = 321) {
+  core::ChannelSnapshot channel;
+  channel.next_seq = 17;
+  channel.seen = {3, 1, 9};
+  const std::vector<std::uint8_t> a = scripted_image();
+  ByteWriter blob;
+  begin_snapshot(blob, watermark, 42 * kHour, &channel, 2);
+  blob.str("a");
+  blob.raw(a.data(), a.size());
+  blob.str("b");
+  encode_empty_topic_image(blob);
+  finish_snapshot(blob);
+  return blob.take();
+}
+
+/// Frames a decoded snapshot back into a blob, image bytes as they are.
+std::vector<std::uint8_t> reframe(const ProxySnapshot& snapshot) {
+  ByteWriter blob;
+  begin_snapshot(blob, snapshot.watermark, snapshot.taken_at,
+                 snapshot.has_channel ? &snapshot.channel : nullptr,
+                 snapshot.topics.size());
+  for (const TopicImageRange& topic : snapshot.topics) {
+    blob.str(topic.name);
+    const std::span<const std::uint8_t> image = snapshot.image(topic);
+    blob.raw(image.data(), image.size());
+  }
+  finish_snapshot(blob);
+  return blob.take();
+}
+
+/// Feeds an image through the decoder into the encoder: the bytes come back
+/// only if every field made the trip, doubles bit-exact.
+std::vector<std::uint8_t> reencode(std::span<const std::uint8_t> image) {
+  ByteWriter out;
+  TopicImageEncoder encoder(out);
+  EXPECT_TRUE(read_topic_image(image, encoder));
+  return out.take();
 }
 
 TEST(SnapshotCodec, RoundTripsTheFullImage) {
-  const ProxySnapshot original = sample_snapshot();
-  const std::vector<std::uint8_t> bytes = encode_snapshot(original);
+  const std::vector<std::uint8_t> bytes = sample_blob();
 
   ProxySnapshot decoded;
   ASSERT_TRUE(decode_snapshot(bytes, &decoded));
-  // Re-encoding the decoded image must be byte-identical: every field made
-  // the trip, including bit-exact doubles.
-  EXPECT_EQ(encode_snapshot(decoded), bytes);
+  EXPECT_EQ(reframe(decoded), bytes);
   EXPECT_EQ(decoded.watermark, 321u);
+  EXPECT_EQ(decoded.taken_at, 42 * kHour);
   EXPECT_EQ(decoded.channel.seen, (std::vector<std::uint64_t>{3, 1, 9}));
   ASSERT_EQ(decoded.topics.size(), 2u);
-  EXPECT_EQ(decoded.topics[0].first, "a");
-  EXPECT_EQ(decoded.topics[0].second.delayed.size(), 1u);
-  EXPECT_EQ(decoded.topics[0].second.delayed[0].release_at, 7 * kHour);
+  EXPECT_EQ(decoded.topics[0].name, "a");
+  EXPECT_EQ(decoded.topics[1].name, "b");
+  const std::vector<std::uint8_t> a = scripted_image();
+  EXPECT_TRUE(std::ranges::equal(decoded.image("a"), a));
+  EXPECT_TRUE(decoded.image("c").empty());
+  for (const TopicImageRange& topic : decoded.topics) {
+    EXPECT_TRUE(std::ranges::equal(reencode(decoded.image(topic)),
+                                   decoded.image(topic)))
+        << topic.name;
+  }
+
+  TopicImageShape shape;
+  ASSERT_TRUE(read_topic_image(decoded.image("a"), shape));
+  EXPECT_EQ(shape.count(core::ImageSection::kPrefetch), 2u);
+  EXPECT_EQ(shape.count(core::ImageSection::kDelayed), 1u);
+  EXPECT_EQ(shape.count(core::ImageSection::kArrivalTimes), 2u);
+  EXPECT_EQ(shape.queue_size_view, 3u);
 }
 
 TEST(SnapshotCodec, RejectsDamage) {
-  const std::vector<std::uint8_t> bytes = encode_snapshot(sample_snapshot());
+  const std::vector<std::uint8_t> bytes = sample_blob();
   ProxySnapshot decoded;
 
   std::vector<std::uint8_t> flipped = bytes;
@@ -118,6 +184,7 @@ TEST(SnapshotCodec, RejectsDamage) {
   EXPECT_FALSE(decode_snapshot(truncated, &decoded));
 
   std::vector<std::uint8_t> bad_magic = bytes;
+  ASSERT_FALSE(bad_magic.empty());
   bad_magic[0] = 'X';
   EXPECT_FALSE(decode_snapshot(bad_magic, &decoded));
 
@@ -126,13 +193,9 @@ TEST(SnapshotCodec, RejectsDamage) {
 
 TEST(SnapshotCodec, LoadLatestSkipsDamagedSnapshots) {
   MemBackend backend;
-  ProxySnapshot older = sample_snapshot();
-  older.watermark = 100;
-  backend.write(snapshot_blob_name(1), encode_snapshot(older));
+  backend.write(snapshot_blob_name(1), sample_blob(100));
 
-  ProxySnapshot newer = sample_snapshot();
-  newer.watermark = 200;
-  std::vector<std::uint8_t> damaged = encode_snapshot(newer);
+  std::vector<std::uint8_t> damaged = sample_blob(200);
   damaged[damaged.size() / 2] ^= 0x01;
   backend.write(snapshot_blob_name(2), damaged);
   backend.write("wal", {1, 2, 3});  // non-snapshot blobs are ignored
@@ -151,12 +214,8 @@ TEST(SnapshotCodec, LoadLatestSkipsDamagedSnapshots) {
 // is the one with the highest parsed sequence.
 TEST(SnapshotCodec, LoadLatestOrdersBySequenceNotByName) {
   MemBackend backend;
-  ProxySnapshot older = sample_snapshot();
-  older.watermark = 100;
-  backend.write(snapshot_blob_name(999'999), encode_snapshot(older));
-  ProxySnapshot newer = sample_snapshot();
-  newer.watermark = 200;
-  backend.write(snapshot_blob_name(1'000'000), encode_snapshot(newer));
+  backend.write(snapshot_blob_name(999'999), sample_blob(100));
+  backend.write(snapshot_blob_name(1'000'000), sample_blob(200));
   ASSERT_LT(snapshot_blob_name(1'000'000), snapshot_blob_name(999'999));
 
   ProxySnapshot loaded;
@@ -166,14 +225,6 @@ TEST(SnapshotCodec, LoadLatestOrdersBySequenceNotByName) {
   EXPECT_EQ(seq, 1'000'000u);
   EXPECT_EQ(loaded.watermark, 200u);
   EXPECT_EQ(damaged_count, 0u);
-}
-
-/// Serializes one topic image so two TopicStates can be compared for exact
-/// equality, moving averages and all.
-std::vector<std::uint8_t> canonical_bytes(const core::TopicSnapshot& topic) {
-  ProxySnapshot wrapper;
-  wrapper.topics.emplace_back("t", topic);
-  return encode_snapshot(wrapper);
 }
 
 TEST(SnapshotRoundTrip, RestoredTopicStateIsIndistinguishable) {
@@ -221,15 +272,21 @@ TEST(SnapshotRoundTrip, RestoredTopicStateIsIndistinguishable) {
   });
   sim.run_until(kHour);
 
-  const core::TopicSnapshot snapshot = state.snapshot();
+  // The image holds every field exactly, moving averages and all, so equal
+  // bytes are indistinguishable states.
+  const std::vector<std::uint8_t> image = topic_image(state);
 
   net::Link link2(sim);
   device::Device device2(sim, DeviceId{2});
   core::SimDeviceChannel channel2(link2, device2);
   core::TopicState rebuilt(sim, channel2, "t", config);
-  rebuilt.restore(snapshot);
+  // A damaged image is refused before the topic is touched: the whole image
+  // still restores into it afterwards.
+  EXPECT_FALSE(restore_topic_image(
+      std::span(image).first(image.size() - 1), rebuilt));
+  ASSERT_TRUE(restore_topic_image(image, rebuilt));
 
-  EXPECT_EQ(canonical_bytes(rebuilt.snapshot()), canonical_bytes(snapshot));
+  EXPECT_EQ(topic_image(rebuilt), image);
 }
 
 TEST(SnapshotRoundTrip, ReliableChannelKeepsSeqAndDedupWindow) {
@@ -376,27 +433,20 @@ struct ScriptedProxy {
 // The checkpoint writer's bytes, pinned independently of how it walks the
 // live state: a scripted proxy whose every image section is non-empty (the
 // test asserts that first), checkpointed once. The CRC was captured from the
-// writer that deep-copied each topic into a TopicSnapshot before encoding
+// writer that deep-copied each topic into a value image before encoding
 // it, so a walk that visits a section in another order moves it.
 TEST(SnapshotCheckpoint, LiveImageBytesArePinned) {
   ScriptedProxy node;
   node.run_script(58 * kMinute);
 
   for (const char* topic : {ScriptedProxy::kWeather, ScriptedProxy::kNews}) {
-    const core::TopicSnapshot image = node.proxy.topic(topic)->snapshot();
-    EXPECT_FALSE(image.outgoing.empty()) << topic;
-    EXPECT_FALSE(image.prefetch.empty()) << topic;
-    EXPECT_FALSE(image.holding.empty()) << topic;
-    EXPECT_FALSE(image.delayed.empty()) << topic;
-    EXPECT_GE(image.history.size(), 2u) << topic;
-    EXPECT_GE(image.forwarded.size(), 2u) << topic;
-    EXPECT_FALSE(image.expiration_armed.empty()) << topic;
-    EXPECT_FALSE(image.seen_read_ids.empty()) << topic;
-    EXPECT_FALSE(image.seen_sync_ids.empty()) << topic;
-    EXPECT_FALSE(image.old_reads.samples.empty()) << topic;
-    EXPECT_FALSE(image.read_times.diffs.samples.empty()) << topic;
-    EXPECT_FALSE(image.exp_times.samples.empty()) << topic;
-    EXPECT_FALSE(image.arrival_times.diffs.samples.empty()) << topic;
+    TopicImageShape image;
+    ASSERT_TRUE(read_topic_image(topic_image(*node.proxy.topic(topic)), image));
+    for (std::size_t section = 0; section < core::kImageSections; ++section) {
+      EXPECT_GT(image.counts[section], 0u) << topic << " section " << section;
+    }
+    EXPECT_GE(image.count(core::ImageSection::kHistory), 2u) << topic;
+    EXPECT_GE(image.count(core::ImageSection::kForwarded), 2u) << topic;
     EXPECT_GT(image.queue_size_view, 0u) << topic;
   }
 
@@ -407,10 +457,11 @@ TEST(SnapshotCheckpoint, LiveImageBytesArePinned) {
   EXPECT_EQ(crc32(blob), 0x89E3BA70u);
 }
 
-// Every periodic checkpoint is exactly what encode_snapshot makes of the
-// proxy's TopicState::snapshot() images at that instant. The snapshot runs
-// as its own simulator event, so the post-event hook sees the state it
-// imaged.
+// Every periodic checkpoint holds, per topic, exactly the live topic's image
+// at that instant, and each of those images goes back through the read side
+// unchanged: restored into a fresh TopicState, it re-encodes to itself. The
+// snapshot runs as its own simulator event, so the post-event hook sees the
+// state it imaged.
 TEST(SnapshotCheckpoint, EveryCheckpointEqualsTheEncodedTopicSnapshots) {
   PersistenceConfig config;
   config.snapshot_interval = 16;
@@ -420,18 +471,267 @@ TEST(SnapshotCheckpoint, EveryCheckpointEqualsTheEncodedTopicSnapshots) {
     const std::uint64_t taken = node.persistence.stats().snapshots;
     if (taken == checked) return;
     checked = taken;
-    ProxySnapshot expected;
-    expected.watermark = node.persistence.record_count();
-    expected.taken_at = node.sim.now();
-    for (const std::string& name : node.proxy.topic_names()) {
-      expected.topics.emplace_back(name, node.proxy.topic(name)->snapshot());
-    }
     std::vector<std::uint8_t> blob;
     ASSERT_TRUE(node.backend.read(snapshot_blob_name(taken), &blob));
-    EXPECT_EQ(blob, encode_snapshot(expected)) << "checkpoint " << taken;
+    ProxySnapshot snapshot;
+    ASSERT_TRUE(decode_snapshot(blob, &snapshot)) << "checkpoint " << taken;
+    EXPECT_EQ(snapshot.watermark, node.persistence.record_count());
+    EXPECT_EQ(snapshot.taken_at, node.sim.now());
+    ASSERT_EQ(snapshot.topics.size(), node.proxy.topic_names().size());
+    for (const TopicImageRange& topic : snapshot.topics) {
+      const std::span<const std::uint8_t> image = snapshot.image(topic);
+      EXPECT_TRUE(std::ranges::equal(
+          image, topic_image(*node.proxy.topic(topic.name))))
+          << "checkpoint " << taken << " " << topic.name;
+      sim::Simulator sim;
+      ScriptedChannel channel;
+      core::TopicState fresh(sim, channel, topic.name,
+                             ScriptedProxy::on_demand());
+      ASSERT_TRUE(restore_topic_image(image, fresh));
+      EXPECT_TRUE(std::ranges::equal(topic_image(fresh), image))
+          << "checkpoint " << taken << " " << topic.name;
+    }
   });
   node.run_script(4 * kHour);
   EXPECT_GE(checked, 3u);
+}
+
+// A blob whose name parses to a sequence past every real checkpoint — here a
+// longer log's checkpoint under a 20-digit name, which would wrap to about
+// 7.8e18 — is not a checkpoint: recovery reads the real newest one, the
+// prune keeps the two real ones it should, and fsck counts the stray as an
+// unknown blob instead of finding a watermark beyond the log.
+TEST(SnapshotNames, AStrayBlobIsNeitherRecoveredNorPruned) {
+  ScriptedProxy longer;
+  longer.run_script(58 * kMinute);
+  ASSERT_TRUE(longer.persistence.snapshot_now());
+  std::vector<std::uint8_t> stray;
+  ASSERT_TRUE(longer.backend.read(snapshot_blob_name(1), &stray));
+
+  ScriptedProxy node;
+  const std::string stray_name = "snap-99999999999999999999";
+  node.backend.write(stray_name, stray);
+  node.run_script(10 * kMinute);
+  ASSERT_TRUE(node.persistence.snapshot_now());
+  ASSERT_TRUE(node.persistence.snapshot_now());
+  ASSERT_LT(node.persistence.record_count(), longer.persistence.record_count());
+
+  std::vector<std::uint8_t> blob;
+  EXPECT_TRUE(node.backend.read(snapshot_blob_name(1), &blob));
+  EXPECT_TRUE(node.backend.read(snapshot_blob_name(2), &blob));
+  EXPECT_TRUE(node.backend.read(stray_name, &blob));
+
+  const FsckReport report = waif_fsck(node.backend);
+  EXPECT_EQ(report.unknown_blobs, 1u);
+  EXPECT_EQ(report.valid_snapshots, 2u);
+  EXPECT_EQ(report.latest_snapshot_seq, 2u);
+  ASSERT_TRUE(report.recoverable());
+
+  std::map<std::string, core::TopicConfig> configs;
+  for (const std::string& name : node.proxy.topic_names()) {
+    configs.emplace(name, ScriptedProxy::on_demand());
+  }
+  const RecoveryResult recovery = ProxyPersistence::recover(node.backend,
+                                                            configs);
+  EXPECT_TRUE(recovery.from_snapshot);
+  EXPECT_EQ(recovery.snapshot_seq, 2u);
+  EXPECT_EQ(recovery.wal_records, node.persistence.record_count());
+  for (const TopicImageRange& topic : recovery.state.topics) {
+    EXPECT_TRUE(std::ranges::equal(
+        recovery.state.image(topic),
+        topic_image(*node.proxy.topic(topic.name))))
+        << topic.name;
+  }
+}
+
+// The value decoder the image decoder replaced, kept verbatim (with the
+// value types it filled) as the reference for what a topic image decoder
+// must accept.
+namespace reference {
+
+struct AverageSnapshot {
+  std::vector<double> samples;
+  double sum = 0.0;
+};
+
+struct IntervalSnapshot {
+  AverageSnapshot diffs;
+  std::optional<double> last;
+};
+
+struct DelayedSnapshot {
+  pubsub::Notification event;
+  SimTime release_at = 0;
+};
+
+struct ArmedExpiration {
+  std::uint64_t id = 0;
+  SimTime expires_at = 0;
+};
+
+struct TopicSnapshot {
+  std::vector<pubsub::Notification> outgoing;
+  std::vector<pubsub::Notification> prefetch;
+  std::vector<pubsub::Notification> holding;
+  std::vector<DelayedSnapshot> delayed;
+  std::vector<pubsub::Notification> history;
+  std::vector<std::uint64_t> forwarded;
+  std::vector<ArmedExpiration> expiration_armed;
+  std::vector<std::uint64_t> seen_read_ids;
+  std::vector<std::uint64_t> seen_sync_ids;
+  AverageSnapshot old_reads;
+  IntervalSnapshot read_times;
+  AverageSnapshot exp_times;
+  IntervalSnapshot arrival_times;
+  std::uint64_t queue_size_view = 0;
+  double rate_credit = 0.0;
+  std::int64_t current_day = 0;
+  std::uint64_t forwarded_today = 0;
+};
+
+bool decode_average(ByteReader& reader, AverageSnapshot* average) {
+  const std::uint32_t count = reader.u32();
+  if (reader.failed() || count > reader.remaining() / 8) return false;
+  average->samples.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    average->samples.push_back(reader.f64());
+  }
+  average->sum = reader.f64();
+  return !reader.failed();
+}
+
+bool decode_interval(ByteReader& reader, IntervalSnapshot* interval) {
+  if (!decode_average(reader, &interval->diffs)) return false;
+  if (reader.u8() != 0) interval->last = reader.f64();
+  return !reader.failed();
+}
+
+bool decode_ids(ByteReader& reader, std::vector<std::uint64_t>* ids) {
+  const std::uint32_t count = reader.u32();
+  if (reader.failed() || count > reader.remaining() / 8) return false;
+  ids->reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) ids->push_back(reader.u64());
+  return !reader.failed();
+}
+
+bool decode_events(ByteReader& reader,
+                   std::vector<pubsub::Notification>* events) {
+  const std::uint32_t count = reader.u32();
+  if (reader.failed() || count > reader.remaining() / 48) return false;
+  events->reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    events->push_back(decode_notification(reader));
+  }
+  return !reader.failed();
+}
+
+bool decode_topic(ByteReader& reader, TopicSnapshot* topic) {
+  if (!decode_events(reader, &topic->outgoing)) return false;
+  if (!decode_events(reader, &topic->prefetch)) return false;
+  if (!decode_events(reader, &topic->holding)) return false;
+  const std::uint32_t delayed_count = reader.u32();
+  if (reader.failed() || delayed_count > reader.remaining() / 56) return false;
+  topic->delayed.reserve(delayed_count);
+  for (std::uint32_t i = 0; i < delayed_count; ++i) {
+    DelayedSnapshot delayed;
+    delayed.event = decode_notification(reader);
+    delayed.release_at = reader.i64();
+    topic->delayed.push_back(std::move(delayed));
+  }
+  if (!decode_events(reader, &topic->history)) return false;
+  if (!decode_ids(reader, &topic->forwarded)) return false;
+  const std::uint32_t armed_count = reader.u32();
+  if (reader.failed() || armed_count > reader.remaining() / 16) return false;
+  topic->expiration_armed.reserve(armed_count);
+  for (std::uint32_t i = 0; i < armed_count; ++i) {
+    ArmedExpiration armed;
+    armed.id = reader.u64();
+    armed.expires_at = reader.i64();
+    topic->expiration_armed.push_back(armed);
+  }
+  if (!decode_ids(reader, &topic->seen_read_ids)) return false;
+  if (!decode_ids(reader, &topic->seen_sync_ids)) return false;
+  if (!decode_average(reader, &topic->old_reads)) return false;
+  if (!decode_interval(reader, &topic->read_times)) return false;
+  if (!decode_average(reader, &topic->exp_times)) return false;
+  if (!decode_interval(reader, &topic->arrival_times)) return false;
+  topic->queue_size_view = reader.u64();
+  topic->rate_credit = reader.f64();
+  topic->current_day = reader.i64();
+  topic->forwarded_today = reader.u64();
+  return !reader.failed();
+}
+
+}  // namespace reference
+
+/// Whether the image decoder and the reference accept `bytes`, and where
+/// each left its reader; equal when they agree.
+std::pair<bool, std::size_t> decode_with(
+    const std::vector<std::uint8_t>& bytes, bool use_reference) {
+  ByteReader reader(bytes);
+  bool accepted = false;
+  if (use_reference) {
+    reference::TopicSnapshot topic;
+    accepted = reference::decode_topic(reader, &topic);
+  } else {
+    TopicImageShape shape;
+    accepted = read_topic_image(reader, shape);
+  }
+  return {accepted, accepted ? reader.offset() : 0};
+}
+
+// The image decoder accepts what the value decoder accepted, every count
+// guard included: every prefix of an image whose every section is
+// non-empty, and every single-byte corruption of it (which covers each
+// count, low byte to high), with the image alone and with bytes after it.
+TEST(SnapshotCodec, ImageDecoderAcceptsWhatTheValueDecoderAccepted) {
+  const std::vector<std::uint8_t> image = scripted_image();
+  TopicImageShape shape;
+  ASSERT_TRUE(read_topic_image(image, shape));
+  for (std::size_t section = 0; section < core::kImageSections; ++section) {
+    ASSERT_GT(shape.counts[section], 0u) << "section " << section;
+  }
+
+  std::size_t accepted = 0;
+  std::size_t checked = 0;
+  const auto agree = [&](const std::vector<std::uint8_t>& bytes,
+                         const std::string& what) {
+    const auto ours = decode_with(bytes, false);
+    EXPECT_EQ(ours, decode_with(bytes, true)) << what;
+    accepted += ours.first ? 1 : 0;
+    ++checked;
+  };
+  for (std::size_t size = 0; size <= image.size(); ++size) {
+    agree({image.begin(), image.begin() + static_cast<std::ptrdiff_t>(size)},
+          "prefix " + std::to_string(size));
+  }
+  for (const std::size_t tail : {std::size_t{0}, std::size_t{64}}) {
+    for (std::size_t at = 0; at < image.size(); ++at) {
+      for (const int value : {0x00, 0x01, 0x02, 0x7F, 0xFF}) {
+        std::vector<std::uint8_t> corrupt = image;
+        corrupt.resize(image.size() + tail, 0xAB);
+        if (corrupt[at] == value) continue;
+        corrupt[at] = static_cast<std::uint8_t>(value);
+        agree(corrupt, "byte " + std::to_string(at) + " = " +
+                           std::to_string(value) + ", tail " +
+                           std::to_string(tail));
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, checked);
+}
+
+// A topic that holds nothing writes the empty image: what a migration ships
+// for a topic that predates every snapshot.
+TEST(SnapshotCodec, EmptyImageIsAFreshTopicsImage) {
+  sim::Simulator sim;
+  ScriptedChannel channel;
+  core::TopicState fresh(sim, channel, "t", ScriptedProxy::on_demand());
+  ByteWriter empty;
+  encode_empty_topic_image(empty);
+  EXPECT_EQ(empty.bytes(), topic_image(fresh));
 }
 
 }  // namespace
